@@ -58,35 +58,29 @@ fn seed_baseline_mips(workload: &str) -> Option<f64> {
         ("resize_victim", false) => Some(55.0),
         ("dpmr_check_k1", false) => Some(48.0),
         ("dpmr_check_k2", false) => Some(40.0),
-        ("dpmr_check_k1_opt", false) => Some(50.0),
-        ("dpmr_check_k2_opt", false) => Some(41.0),
         ("dpmr_check_k1_pgo", false) => Some(51.0),
         ("dpmr_check_k2_pgo", false) => Some(43.0),
         ("dpmr_scrub_k2", false) => Some(65.0),
-        ("dpmr_scrub_k2_opt", false) => Some(66.0),
         ("dpmr_scrub_k2_pgo", false) => Some(78.0),
         ("linked_list", true) => Some(30.0),
         ("qsort", true) => Some(19.0),
         ("resize_victim", true) => Some(24.0),
         ("dpmr_check_k1", true) => Some(25.0),
         ("dpmr_check_k2", true) => Some(23.0),
-        ("dpmr_check_k1_opt", true) => Some(29.0),
-        ("dpmr_check_k2_opt", true) => Some(26.0),
         ("dpmr_check_k1_pgo", true) => Some(29.0),
         ("dpmr_check_k2_pgo", true) => Some(26.0),
         ("dpmr_scrub_k2", true) => Some(35.0),
-        ("dpmr_scrub_k2_opt", true) => Some(36.0),
         ("dpmr_scrub_k2_pgo", true) => Some(42.0),
         _ => None,
     }
 }
 
 /// One benchmark point. The historical points carry only a module and
-/// lower inside every measured run; the `_opt`/`_pgo` points carry
-/// pre-lowered, pass-optimized bytecode (lowering and optimization are
-/// pure, one-time load work — the deployment shape the harness uses for
-/// campaigns) and are directly comparable to each other, with the
-/// passes-off `dpmr_check_k1`/`k2` points as the unoptimized reference.
+/// lower inside every measured run; the `_pgo` points carry pre-lowered,
+/// optimized bytecode (lowering and optimization are pure, one-time load
+/// work — the deployment shape the harness uses for campaigns), with the
+/// optimizer-off `dpmr_check_k1`/`k2` points as the unoptimized
+/// reference.
 struct Workload {
     name: &'static str,
     module: Module,
@@ -147,10 +141,9 @@ fn armed_usefulness(module: &Module, code: &Rc<LoweredCode>, reg: &Rc<Registry>)
 /// interpreter's hot path under DPMR, and the K = 1 vs K = 2 pair tracks
 /// what the variable-arity check op costs as the degree grows.
 ///
-/// The `_opt` points run the same transformed modules through the
-/// semantics-preserving pass pipeline (redundant-check elision +
-/// superinstruction fusion); `_pgo` additionally drops check sites a
-/// deterministic armed sweep found useless ([`armed_usefulness`]).
+/// The `_pgo` points run the same transformed modules with the check
+/// sites a deterministic armed sweep found useless
+/// ([`armed_usefulness`]) dropped by the optimizer.
 fn workloads() -> Vec<Workload> {
     let scale = if smoke() { 1 } else { 4 };
     let victim = micro::resize_victim(16 * scale, 12 * scale);
@@ -161,7 +154,7 @@ fn workloads() -> Vec<Workload> {
     let reg = Rc::new(registry_with_wrappers());
     let pgo_cfg = |m: &Module| {
         let code = Rc::new(lower(m));
-        PassConfig::all().with_profile(ProfileGuided {
+        PassConfig::none().with_profile(ProfileGuided {
             usefulness: armed_usefulness(m, &code, &reg),
             threshold: 0.0,
         })
@@ -192,18 +185,6 @@ fn workloads() -> Vec<Workload> {
             wrappers: true,
         },
         Workload {
-            name: "dpmr_check_k1_opt",
-            code: opt(&dpmr_k1, &PassConfig::all()),
-            module: dpmr_k1.clone(),
-            wrappers: true,
-        },
-        Workload {
-            name: "dpmr_check_k2_opt",
-            code: opt(&dpmr_k2, &PassConfig::all()),
-            module: dpmr_k2.clone(),
-            wrappers: true,
-        },
-        Workload {
             name: "dpmr_check_k1_pgo",
             code: opt(&dpmr_k1, &pgo_k1),
             module: dpmr_k1,
@@ -215,19 +196,13 @@ fn workloads() -> Vec<Workload> {
             module: dpmr_k2,
             wrappers: true,
         },
-        // The scrub trio is the optimizer's acceptance point: a
-        // checked-memory-traffic-dense kernel where fused dispatch and
-        // profile-guided site selection have the most surface.
+        // The scrub pair is the optimizer's acceptance point: a
+        // checked-memory-traffic-dense kernel where profile-guided site
+        // selection has the most surface.
         Workload {
             name: "dpmr_scrub_k2",
             module: scrub_k2.clone(),
             code: None,
-            wrappers: true,
-        },
-        Workload {
-            name: "dpmr_scrub_k2_opt",
-            code: opt(&scrub_k2, &PassConfig::all()),
-            module: scrub_k2.clone(),
             wrappers: true,
         },
         Workload {
@@ -241,7 +216,7 @@ fn workloads() -> Vec<Workload> {
 
 /// One measured run (wrapper registry only for transformed workloads —
 /// building it per run would be measured overhead, so it is shared; the
-/// same goes for pre-lowered bytecode on the optimized points).
+/// same goes for pre-lowered bytecode on the `_pgo` points).
 fn run_once(w: &Workload, registry: Option<&Rc<Registry>>) -> RunOutcome {
     let rc = RunConfig::default();
     match (&w.code, registry) {

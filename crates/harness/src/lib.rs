@@ -162,7 +162,7 @@ pub fn artifact_descriptions() -> Vec<(&'static str, &'static str)> {
         ),
         (
             "optP.1",
-            "optimizer study: per-app check-count and virtual-MIPS deltas at each pass combination, with the profile-guided dropped-site report",
+            "optimizer study: per-app check-count and virtual-MIPS deltas of profile-guided site dropping, with its dropped-site report",
         ),
     ]
 }
@@ -495,7 +495,7 @@ pub fn reproduce(ids: &BTreeSet<String>, cc: &CampaignConfig) -> String {
                 studies.trace(cc),
             ),
             "optP.1" => figures::opt_table(
-                "Table P.1: Optimizer study (SDS, rearrange-heap): check-count and virtual-MIPS deltas per pass combination",
+                "Table P.1: Optimizer study (SDS, rearrange-heap): check-count and virtual-MIPS deltas of profile-guided site dropping",
                 studies.opt(cc),
             ),
             "ch5" => chapter5_demo(),

@@ -1321,31 +1321,23 @@ pub fn run_trace_study(
 /// One (app, pass-combination) row of the optimizer study (`optP.1`).
 #[derive(Debug, Clone, Default)]
 pub struct OptComboRow {
-    /// Check sites still comparing after the passes.
+    /// Check sites still comparing after the optimizer.
     pub live_checks: u64,
-    /// Sites replaced by cost-preserving `CheckElided` ops (pass 1).
-    pub elided: u64,
-    /// Fused load+check superinstructions (pass 3).
-    pub fused_load_checks: u64,
-    /// Fused store+companion-store superinstructions (pass 3).
-    pub fused_store_pairs: u64,
-    /// Fused straight-line access groups (pass 3).
-    pub fused_groups: u64,
-    /// Sites dropped by profile-guided selection (pass 2).
+    /// Sites dropped by profile-guided selection.
     pub dropped: u64,
     /// Dynamic check executions of the clean instrumented run.
     pub check_execs: u64,
     /// Virtual cycles of the clean run.
     pub cycles: u64,
     /// Instructions retired by the clean run (invariant across the
-    /// semantics-preserving combinations by construction).
+    /// combinations by construction: dropped slots still dispatch).
     pub instrs: u64,
     /// The run completed cleanly with the golden output.
     pub output_ok: bool,
 }
 
 /// The optimizer study results (`optP.1`): per app, the check-count,
-/// virtual-cycle, and virtual-MIPS deltas of every pass combination,
+/// virtual-cycle, and virtual-MIPS deltas of the optimizer off and on,
 /// plus the machine-readable dropped-site report of the profile-guided
 /// combination. Virtual (not wall-clock) figures keep the artifact
 /// bit-identical at any worker count; host-time deltas live in the
@@ -1354,7 +1346,7 @@ pub struct OptComboRow {
 pub struct OptStudyResults {
     /// App names, in presentation order.
     pub apps: Vec<String>,
-    /// Pass-combination tags, in presentation order.
+    /// Optimizer-configuration tags (`off`, `pgo`), in presentation order.
     pub combos: Vec<String>,
     /// Rows per (app, combo tag).
     pub rows: BTreeMap<(String, String), OptComboRow>,
@@ -1364,10 +1356,10 @@ pub struct OptStudyResults {
     pub experiments: u64,
 }
 
-/// The pass combination run at `combo_idx` for `app`, resolving the
-/// profile-guided leg against that app's usefulness weights (sites that
-/// never detected during the armed sweep drop at threshold 0; an app
-/// with no profile keeps every site).
+/// The optimizer configuration run at `combo_idx` for `app`: off, or
+/// profile-guided selection resolved against that app's usefulness
+/// weights (sites that never detected during the armed sweep drop at
+/// threshold 0; an app with no profile keeps every site).
 fn opt_combo(
     combo_idx: usize,
     app: &str,
@@ -1376,16 +1368,7 @@ fn opt_combo(
     use dpmr_vm::opt::{PassConfig, ProfileGuided};
     match combo_idx {
         0 => PassConfig::none(),
-        1 => PassConfig {
-            elide_redundant_checks: true,
-            ..PassConfig::none()
-        },
-        2 => PassConfig {
-            fuse_superinstructions: true,
-            ..PassConfig::none()
-        },
-        3 => PassConfig::all(),
-        _ => PassConfig::all().with_profile(ProfileGuided {
+        _ => PassConfig::none().with_profile(ProfileGuided {
             usefulness: usefulness.get(app).cloned().unwrap_or_default(),
             threshold: 0.0,
         }),
@@ -1393,12 +1376,11 @@ fn opt_combo(
 }
 
 /// Runs the optimizer study (`optP.1`): each app's DPMR-transformed
-/// build is optimized under every pass combination — off, each pass
-/// alone, both semantics-preserving passes, and the profile-guided
-/// pipeline fed by the profS.1 armed-sweep detection counts — then
+/// build is run with the optimizer off and with profile-guided
+/// selection fed by the profS.1 armed-sweep detection counts, each
 /// executed once cleanly with full telemetry. Rows report static
-/// (live/elided/fused/dropped check counts) and dynamic (check
-/// executions, virtual cycles, instructions) effects per combination.
+/// (live/dropped check counts) and dynamic (check executions, virtual
+/// cycles, instructions) effects per configuration.
 /// Units fan across the study scheduler and merge in unit order:
 /// bit-identical at any worker count.
 pub fn run_opt_study(
@@ -1408,10 +1390,10 @@ pub fn run_opt_study(
     cc: &CampaignConfig,
 ) -> OptStudyResults {
     use std::rc::Rc;
-    const COMBOS: usize = 5;
+    const COMBOS: usize = 2;
     let prepared: Vec<PreparedApp> =
         crate::sched::run_indexed(apps, cc.workers, |a| prepare(*a, &cc.params));
-    // Lower without passes: each combination applies its own pipeline.
+    // Lower without the optimizer: each configuration applies its own.
     let built: Vec<(Module, LoweredCode)> = crate::sched::run_indexed(&prepared, cc.workers, |p| {
         let t = transform(&p.module, base).expect("transform");
         let code = dpmr_vm::lower::lower(&t);
@@ -1438,10 +1420,6 @@ pub fn run_opt_study(
             );
             let row = OptComboRow {
                 live_checks,
-                elided: opt.elided.len() as u64,
-                fused_load_checks: opt.fused_load_checks.len() as u64,
-                fused_store_pairs: opt.fused_store_pairs.len() as u64,
-                fused_groups: opt.fused_groups.len() as u64,
                 dropped: opt.dropped.len() as u64,
                 check_execs: run.telemetry.site_stats.iter().map(|s| s.executions).sum(),
                 cycles: run.out.cycles,
@@ -1454,7 +1432,7 @@ pub fn run_opt_study(
     let mut res = OptStudyResults {
         apps: apps.iter().map(|a| a.name.to_string()).collect(),
         combos: (0..COMBOS)
-            .map(|ci| opt_combo(ci, "", &BTreeMap::new()).tag())
+            .map(|ci| opt_combo(ci, "", &BTreeMap::new()).tag().to_string())
             .collect(),
         ..OptStudyResults::default()
     };
@@ -1598,7 +1576,7 @@ mod tests {
     }
 
     #[test]
-    fn tiny_opt_study_is_invariant_across_preserving_combos() {
+    fn tiny_opt_study_without_a_profile_keeps_every_site() {
         let app = app_by_name("bzip2").expect("bzip2");
         let res = run_opt_study(
             &[app],
@@ -1606,19 +1584,17 @@ mod tests {
             &BTreeMap::new(),
             &CampaignConfig::tiny(),
         );
-        assert_eq!(res.experiments, 5);
+        assert_eq!(res.experiments, 2);
         let row = |combo: &str| &res.rows[&("bzip2".to_string(), combo.to_string())];
-        let (off, ef) = (row("off"), row("elide+fuse"));
-        assert!(off.output_ok && ef.output_ok);
-        // The semantics-preserving passes change neither the virtual
-        // clock nor the dynamic check/instruction counts.
-        assert_eq!(
-            (off.check_execs, off.cycles, off.instrs),
-            (ef.check_execs, ef.cycles, ef.instrs)
-        );
+        let (off, pgo) = (row("off"), row("pgo"));
+        assert!(off.output_ok && pgo.output_ok);
         // With no usefulness weights the profile-guided leg
-        // conservatively keeps every site.
-        assert_eq!(row("elide+pgo+fuse").dropped, 0);
+        // conservatively keeps every site, so the run is unchanged.
+        assert_eq!(pgo.dropped, 0);
+        assert_eq!(
+            (off.live_checks, off.check_execs, off.cycles, off.instrs),
+            (pgo.live_checks, pgo.check_execs, pgo.cycles, pgo.instrs)
+        );
         assert!(res.dropped_reports.is_empty());
     }
 

@@ -192,3 +192,35 @@ fn fault_campaign_reports_the_replica_differential() {
     let txt = figures::fault_campaign_table("t", &res);
     assert!(txt.contains("replica-region bit-flips"));
 }
+
+/// Regression: the default-sized Table V.1 campaign once panicked the
+/// host on this trial (mcf, `K=1/no-diversity`, heap bit-flip armed at
+/// pc 98, run 1 of 2). The flip turns a pointer into an address within
+/// a few bytes of `u64::MAX`; the bounds check wrapped and indexed the
+/// globals buffer far out of range. The trial must end in a
+/// `RunOutcome` — here a natural detection (memory fault).
+#[test]
+fn tab_v1_mcf_wrapping_address_trial_ends_in_a_run_outcome() {
+    use dpmr_harness::experiment::{lower_with_passes, prepare};
+    let p = prepare(
+        dpmr_workloads::app_by_name("mcf").expect("mcf"),
+        &dpmr_workloads::WorkloadParams::quick(),
+    );
+    let cfg = DpmrConfig::sds()
+        .with_replicas(1)
+        .with_diversity(Diversity::None);
+    let t = transform(&p.module, &cfg).expect("transform");
+    let code = Rc::new(lower_with_passes(&t, &cfg));
+    let (site, run, runs): (u32, u32, u32) = (98, 1, 2);
+    let armed = ArmedFault {
+        site,
+        fault: FaultModel::BitFlip {
+            region: MemRegion::Heap,
+        },
+        seed: dpmr_fi::trial_seed(site, run),
+        arm_cycle: p.golden.cycles * u64::from(run) / u64::from(runs),
+    };
+    let m = p.run_armed(&t, code, Rc::new(registry_with_wrappers()), armed, run);
+    assert!(m.sf, "the armed flip fired");
+    assert!(m.ndet, "a wild address is a natural detection: {m:?}");
+}

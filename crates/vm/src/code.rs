@@ -52,14 +52,11 @@ pub use crate::value::{LoadKind, StoreKind};
 /// lowers to exactly one `Op`, so instruction counts and virtual-cycle
 /// accounting are bit-identical to the tree-walking engine this replaced.
 ///
-/// The [`crate::opt`] pass pipeline rewrites ops *in place* — it never
-/// inserts or removes slots — so every pc keeps its meaning in optimized
-/// code too. The rewritten forms are [`Op::CheckElided`] (a check whose
-/// comparison was proved redundant or dropped by profile-guided
-/// selection) and the fused superinstructions [`Op::FusedLoadCheck`] /
-/// [`Op::FusedStoreStore`], which occupy the *first* pc of their pair
-/// while the second pc keeps its original op (a jump into the middle of
-/// a fused pair still executes the plain op).
+/// The [`crate::opt`] profile-guided pass rewrites ops *in place* — it
+/// never inserts or removes slots — so every pc keeps its meaning in
+/// optimized code too. The rewritten forms are [`Op::CheckElided`] (a
+/// dropped check) and [`Op::LoadElided`] (a replica load only that check
+/// consumed).
 #[derive(Debug, Clone, PartialEq)]
 pub enum Op {
     /// Stack allocation; `size` = `sizeof(ty)` precomputed.
@@ -185,13 +182,11 @@ pub enum Op {
     /// order — so use-of-unset-register traps still win — then raises
     /// `Invalid(msg)`, exactly as the tree-walker did at execution.
     Invalid { args: Box<[Opnd]>, msg: Box<str> },
-    /// A `dpmr.check` whose comparison the optimizer removed (produced
-    /// only by [`crate::opt`], never by lowering). With `charge` set the
-    /// op still consumes `CHECK × reps` virtual cycles — redundant-check
-    /// elimination preserves the clock bit-for-bit and wins host time
-    /// only. Profile-guided drops clear `charge`: the site's virtual
-    /// cost disappears too (the paper's overhead-budget tradeoff).
-    CheckElided { site: u32, reps: u32, charge: bool },
+    /// A `dpmr.check` dropped by profile-guided selection (produced only
+    /// by [`crate::opt`], never by lowering). The op executes as a no-op:
+    /// the site's virtual cost disappears with its comparison (the
+    /// paper's overhead-budget tradeoff).
+    CheckElided { site: u32 },
     /// A replica load whose only consumer was a profile-guided-dropped
     /// check (produced only by [`crate::opt`], never by lowering). The
     /// op executes as a no-op — no memory read, no register write, no
@@ -200,22 +195,6 @@ pub enum Op {
     /// tradeoff applied per site. `dst` and `site` are kept for
     /// diagnostics and the dropped-site report.
     LoadElided { dst: u32, site: u32 },
-    /// Superinstruction: a scalar load immediately followed by the
-    /// `dpmr.check` consuming it (or by the [`Op::CheckElided`] residue
-    /// of one), executed in one dispatch iteration (produced only by
-    /// [`crate::opt`]).
-    FusedLoadCheck(Box<FusedLoadCheck>),
-    /// Superinstruction: an application store immediately followed by
-    /// its companion replica store, executed in one dispatch iteration
-    /// (produced only by [`crate::opt`]).
-    FusedStoreStore(Box<FusedStoreStore>),
-    /// Superinstruction: a straight-line run of three or more simple
-    /// ops around a DPMR access group — the application load, the
-    /// replica address computations and loads, and the `dpmr.check`
-    /// consuming them (or a store and its companion replica stores) —
-    /// executed in one dispatch iteration (produced only by
-    /// [`crate::opt`]).
-    FusedGroup(Box<FusedGroup>),
 }
 
 /// Dense discriminant of an [`Op`], used by the interpreter's threaded
@@ -255,13 +234,10 @@ pub enum OpCode {
     Invalid,
     CheckElided,
     LoadElided,
-    FusedLoadCheck,
-    FusedStoreStore,
-    FusedGroup,
 }
 
 /// Number of [`OpCode`] variants (the handler table's length).
-pub const OPCODE_COUNT: usize = OpCode::FusedGroup as usize + 1;
+pub const OPCODE_COUNT: usize = OpCode::LoadElided as usize + 1;
 
 impl Op {
     /// The dense discriminant of this op.
@@ -295,65 +271,8 @@ impl Op {
             Op::Invalid { .. } => OpCode::Invalid,
             Op::CheckElided { .. } => OpCode::CheckElided,
             Op::LoadElided { .. } => OpCode::LoadElided,
-            Op::FusedLoadCheck(_) => OpCode::FusedLoadCheck,
-            Op::FusedStoreStore(_) => OpCode::FusedStoreStore,
-            Op::FusedGroup(_) => OpCode::FusedGroup,
         }
     }
-}
-
-/// Payload of [`Op::FusedLoadCheck`]: the load's pre-resolved fields
-/// plus the complete original check op and its pc. Keeping the second
-/// op verbatim lets the interpreter replicate the unfused execution —
-/// including the inter-op boundary accounting at `pc2` — exactly.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FusedLoadCheck {
-    /// Destination register of the load half.
-    pub dst: u32,
-    /// Pointer operand of the load half.
-    pub ptr: Opnd,
-    /// Pre-resolved decode of the load half.
-    pub kind: LoadKind,
-    /// Absolute pc of the check half (always the fused op's pc + 1).
-    pub pc2: u32,
-    /// The original op at `pc2`, unchanged: an [`Op::DpmrCheck`], or an
-    /// [`Op::CheckElided`] when an earlier pass already removed the
-    /// comparison (fusing it folds the elided site's bookkeeping — or
-    /// nothing at all — into the load's dispatch iteration).
-    pub check: Op,
-}
-
-/// Payload of [`Op::FusedStoreStore`]: the first store's pre-resolved
-/// fields plus the complete companion store op and its pc.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FusedStoreStore {
-    /// Pointer operand of the first store.
-    pub ptr: Opnd,
-    /// Value operand of the first store.
-    pub value: Opnd,
-    /// Pre-resolved encode of the first store.
-    pub kind: StoreKind,
-    /// Absolute pc of the companion store (always the fused op's pc + 1).
-    pub pc2: u32,
-    /// The original [`Op::Store`] at `pc2`, unchanged.
-    pub second: Op,
-}
-
-/// Payload of [`Op::FusedGroup`]: the complete original ops of the
-/// run, in pc order (`members[i]` is the op at `base + i`). The
-/// interpreter executes each member in sequence, replicating the
-/// unfused inter-op boundary accounting between them, so the group is
-/// observationally identical to dispatching its members one at a time
-/// — it only collapses `members.len()` dispatch-loop iterations into
-/// one. Every member past the first keeps its original op in its slot
-/// (pcs stay stable; a jump into the middle of the group executes the
-/// plain ops from there).
-#[derive(Debug, Clone, PartialEq)]
-pub struct FusedGroup {
-    /// Absolute pc of the first member (the fused op's own pc).
-    pub base: u32,
-    /// The original ops of the run, in pc order, first included.
-    pub members: Box<[Op]>,
 }
 
 /// A whole module compiled to linear bytecode.
@@ -402,30 +321,13 @@ impl LoweredCode {
     /// The pc of every `dpmr.check` op, indexed by check-site id (site
     /// ids are assigned in pc order at lowering, so the result is
     /// ascending). Telemetry reporters use this to locate site counters
-    /// in the op stream. On optimized code this also resolves elided
-    /// checks and checks folded into [`Op::FusedLoadCheck`] (the check
-    /// half lives at the *fused op's pc + 1*, which is where the site
-    /// id was assigned at lowering).
+    /// in the op stream. On optimized code this also resolves dropped
+    /// checks, which keep their slot.
     pub fn check_site_pcs(&self) -> Vec<u32> {
         let mut pcs = vec![0u32; self.check_sites as usize];
         for (pc, op) in self.ops.iter().enumerate() {
-            match op {
-                Op::DpmrCheck { site, .. } | Op::CheckElided { site, .. } => {
-                    pcs[*site as usize] = pc as u32;
-                }
-                Op::FusedLoadCheck(f) => {
-                    if let Op::DpmrCheck { site, .. } | Op::CheckElided { site, .. } = &f.check {
-                        pcs[*site as usize] = f.pc2;
-                    }
-                }
-                Op::FusedGroup(g) => {
-                    for (i, m) in g.members.iter().enumerate() {
-                        if let Op::DpmrCheck { site, .. } | Op::CheckElided { site, .. } = m {
-                            pcs[*site as usize] = g.base + i as u32;
-                        }
-                    }
-                }
-                _ => {}
+            if let Op::DpmrCheck { site, .. } | Op::CheckElided { site, .. } = op {
+                pcs[*site as usize] = pc as u32;
             }
         }
         pcs

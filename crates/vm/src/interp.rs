@@ -454,12 +454,6 @@ mod cost {
 enum Flow {
     /// Advance to the next op (pc + 1).
     Next,
-    /// Advance past a fused superinstruction pair (pc + 2): the op
-    /// executed both halves in one dispatch iteration.
-    Skip2,
-    /// Advance past a fused superinstruction group (pc + n): the op
-    /// executed all n members in one dispatch iteration.
-    SkipN(u32),
     /// Transfer to an absolute pc within the current frame.
     Jump(u32),
     /// Push a new frame for an IR-to-IR call (direct or resolved
@@ -1330,8 +1324,6 @@ impl<'m> Interp<'m> {
             self.frames[fi].regs = regs;
             match flow {
                 Ok(Flow::Next) => self.frames[fi].pc = pc + 1,
-                Ok(Flow::Skip2) => self.frames[fi].pc = pc + 2,
-                Ok(Flow::SkipN(n)) => self.frames[fi].pc = pc + n,
                 Ok(Flow::Jump(target)) => self.frames[fi].pc = target,
                 Ok(Flow::Call { f, args, dst }) => {
                     // Return lands on the op after the call.
@@ -1461,8 +1453,6 @@ impl<'m> Interp<'m> {
             };
             match step {
                 Ok(Flow::Next) => pc += 1,
-                Ok(Flow::Skip2) => pc += 2,
-                Ok(Flow::SkipN(n)) => pc += n,
                 Ok(Flow::Jump(target)) => pc = target,
                 Ok(Flow::Call { f, args, dst }) => {
                     // Return lands on the op after the call.
@@ -1703,104 +1693,9 @@ impl<'m> Interp<'m> {
         }
     }
 
-    /// One inter-op boundary inside a fused superinstruction: replicates
-    /// exactly what the dispatch loop does between the two halves of the
-    /// original pair — instruction count, timeout, the armed-fault flag
-    /// for the second half's pc, and its pc-profile bump — so
-    /// `RunOutcome`s and telemetry profiles are bit-identical to the
-    /// unfused execution. (Pause budgets and auto-checkpoints are only
-    /// taken between dispatch iterations, so a fused pair is atomic with
-    /// respect to both.)
-    #[inline]
-    fn fused_boundary(&mut self, pc2: u32) -> Result<(), Trap> {
-        self.instrs += 1;
-        if self.instrs > self.max_instrs {
-            return Err(Trap::Timeout);
-        }
-        self.fault_pending = pc2 == self.armed_pc;
-        if self.tele_cfg.profile {
-            if let Some(n) = self.tele.pc_exec.get_mut(pc2 as usize) {
-                *n += 1;
-            }
-        }
-        Ok(())
-    }
-
-    /// Executes one scalar load: the single definition shared by
-    /// [`Op::Load`] and the fused load+check superinstruction.
-    #[inline]
-    fn exec_load(
-        &mut self,
-        regs: &mut [Option<Value>],
-        dst: u32,
-        ptr: &Opnd,
-        kind: LoadKind,
-    ) -> Result<(), Trap> {
-        let mut a = self.eval(regs, ptr)?.as_ptr();
-        // Injection hook: an armed fault may corrupt the memory
-        // about to be read, skew the address, or force the value.
-        let forced = if self.fault_pending {
-            self.fault_on_load(&mut a, kind)
-        } else {
-            None
-        };
-        self.clock += cost::MEM;
-        self.touch(a);
-        let v = self.load_kind(kind, a)?;
-        set_reg(regs, dst, forced.unwrap_or(v));
-        Ok(())
-    }
-
-    /// Executes one scalar store: the single definition shared by
-    /// [`Op::Store`] and the fused store-pair superinstruction.
-    #[inline]
-    fn exec_store(
-        &mut self,
-        regs: &[Option<Value>],
-        ptr: &Opnd,
-        value: &Opnd,
-        kind: StoreKind,
-    ) -> Result<(), Trap> {
-        let mut a = self.eval(regs, ptr)?.as_ptr();
-        let v = self.eval(regs, value)?;
-        // Injection hook: an armed fault may redirect the store;
-        // a region bit-flip corrupts the stored bytes afterwards.
-        let flip_after = if self.fault_pending {
-            self.fault_on_store(&mut a, store_width(kind))
-        } else {
-            false
-        };
-        self.clock += cost::MEM;
-        self.touch(a);
-        self.store_kind(a, kind, v)?;
-        if flip_after {
-            self.fault_flip_byte(a, store_width(kind));
-        }
-        Ok(())
-    }
-
-    /// Executes a check whose comparison the optimizer removed (the
-    /// plain [`Op::CheckElided`] arm and the elided second half of a
-    /// fused load+check). With `charge` (redundant-check elimination)
-    /// the virtual clock and site stats advance exactly as the original
-    /// check's passing path did — clean-run outcomes stay bit-identical
-    /// and the win is host time. Without it (profile-guided drop) the
-    /// site costs nothing.
-    fn exec_check_elided(&mut self, site: u32, reps: u32, charge: bool) {
-        if charge {
-            self.clock += cost::CHECK * u64::from(reps);
-            if self.tele_cfg.sites {
-                let s = &mut self.tele.site_stats[site as usize];
-                s.executions += 1;
-                s.cycles += cost::CHECK * u64::from(reps);
-            }
-        }
-    }
-
-    /// Executes one `dpmr.check` comparison: the single definition of
-    /// check semantics shared by the plain [`Op::DpmrCheck`] arm and the
-    /// fused load+check superinstruction (their virtual-cycle and
-    /// detection behaviour must never desynchronize).
+    /// Executes one `dpmr.check` comparison ([`Op::DpmrCheck`]):
+    /// compare, then on a mismatch raise the detection trap and carry out
+    /// the handler's verdict.
     #[allow(clippy::too_many_lines)]
     fn exec_check(
         &mut self,
@@ -1998,9 +1893,9 @@ impl<'m> Interp<'m> {
     }
 
     /// Executes one op against the current frame's registers: one
-    /// indirect call through the dense-opcode handler table. Shared by
-    /// the checked loop and fused-group member execution; the fast loop
-    /// indexes [`HANDLERS`] with the opcode side-table directly.
+    /// indirect call through the dense-opcode handler table. Used by the
+    /// checked loop; the fast loop indexes [`HANDLERS`] with the opcode
+    /// side-table directly.
     #[inline]
     fn step_op(&mut self, regs: &mut [Option<Value>], op: &Op) -> Result<Flow, Trap> {
         HANDLERS[op.opcode() as usize](self, regs, op)
@@ -2041,9 +1936,6 @@ static HANDLERS: [OpHandler; OPCODE_COUNT] = [
     h_invalid,
     h_check_elided,
     h_load_elided,
-    h_fused_load_check,
-    h_fused_store_store,
-    h_fused_group,
 ];
 
 /// Writes a register slot. Out-of-range destinations (impossible in
@@ -2157,7 +2049,18 @@ fn h_load(it: &mut Interp, regs: &mut [Option<Value>], op: &Op) -> Result<Flow, 
     let Op::Load { dst, ptr, kind } = op else {
         return Err(malformed_op());
     };
-    it.exec_load(regs, *dst, ptr, *kind)?;
+    let mut a = it.eval(regs, ptr)?.as_ptr();
+    // Injection hook: an armed fault may corrupt the memory about to be
+    // read, skew the address, or force the value.
+    let forced = if it.fault_pending {
+        it.fault_on_load(&mut a, *kind)
+    } else {
+        None
+    };
+    it.clock += cost::MEM;
+    it.touch(a);
+    let v = it.load_kind(*kind, a)?;
+    set_reg(regs, *dst, forced.unwrap_or(v));
     Ok(Flow::Next)
 }
 
@@ -2166,7 +2069,21 @@ fn h_store(it: &mut Interp, regs: &mut [Option<Value>], op: &Op) -> Result<Flow,
     let Op::Store { ptr, value, kind } = op else {
         return Err(malformed_op());
     };
-    it.exec_store(regs, ptr, value, *kind)?;
+    let mut a = it.eval(regs, ptr)?.as_ptr();
+    let v = it.eval(regs, value)?;
+    // Injection hook: an armed fault may redirect the store; a region
+    // bit-flip corrupts the stored bytes afterwards.
+    let flip_after = if it.fault_pending {
+        it.fault_on_store(&mut a, store_width(*kind))
+    } else {
+        false
+    };
+    it.clock += cost::MEM;
+    it.touch(a);
+    it.store_kind(a, *kind, v)?;
+    if flip_after {
+        it.fault_flip_byte(a, store_width(*kind));
+    }
     Ok(Flow::Next)
 }
 
@@ -2469,8 +2386,7 @@ fn h_unreachable(it: &mut Interp, _regs: &mut [Option<Value>], op: &Op) -> Resul
 
 fn h_bad_block(_it: &mut Interp, _regs: &mut [Option<Value>], _op: &Op) -> Result<Flow, Trap> {
     // Both loops settle `BadBlock` pads *before* dispatching (the trap
-    // is uncounted and uncharged); reaching the handler means a
-    // hand-built fused op smuggled one in.
+    // is uncounted and uncharged), so no handler call ever lands here.
     unreachable!("BadBlock is settled by the dispatch loops before any handler runs")
 }
 
@@ -2486,108 +2402,21 @@ fn h_invalid(it: &mut Interp, regs: &mut [Option<Value>], op: &Op) -> Result<Flo
     Err(Trap::Invalid(msg.to_string()))
 }
 
-fn h_check_elided(it: &mut Interp, _regs: &mut [Option<Value>], op: &Op) -> Result<Flow, Trap> {
-    let Op::CheckElided { site, reps, charge } = op else {
+// A dropped check, and a dropped site's replica load: no comparison, no
+// memory read, no register write, no virtual cost — the dispatch
+// iteration (and its instruction count) is all that remains.
+fn h_check_elided(_it: &mut Interp, _regs: &mut [Option<Value>], op: &Op) -> Result<Flow, Trap> {
+    let Op::CheckElided { .. } = op else {
         return Err(malformed_op());
     };
-    it.exec_check_elided(*site, *reps, *charge);
     Ok(Flow::Next)
 }
 
-// A dropped site's replica load: no memory read, no register write, no
-// virtual cost — the dispatch iteration (and its instruction count) is
-// all that remains.
 fn h_load_elided(_it: &mut Interp, _regs: &mut [Option<Value>], op: &Op) -> Result<Flow, Trap> {
     let Op::LoadElided { .. } = op else {
         return Err(malformed_op());
     };
     Ok(Flow::Next)
-}
-
-fn h_fused_load_check(it: &mut Interp, regs: &mut [Option<Value>], op: &Op) -> Result<Flow, Trap> {
-    let Op::FusedLoadCheck(f) = op else {
-        return Err(malformed_op());
-    };
-    it.exec_load(regs, f.dst, &f.ptr, f.kind)?;
-    it.fused_boundary(f.pc2)?;
-    match &f.check {
-        Op::DpmrCheck {
-            a,
-            reps,
-            ptrs,
-            site,
-            a_reg,
-        } => it.exec_check(regs, a, reps, ptrs, *site, a_reg)?,
-        Op::CheckElided { site, reps, charge } => {
-            it.exec_check_elided(*site, *reps, *charge);
-        }
-        _ => return Err(Trap::Invalid("malformed fused load+check".into())),
-    }
-    Ok(Flow::Skip2)
-}
-
-fn h_fused_store_store(it: &mut Interp, regs: &mut [Option<Value>], op: &Op) -> Result<Flow, Trap> {
-    let Op::FusedStoreStore(f) = op else {
-        return Err(malformed_op());
-    };
-    it.exec_store(regs, &f.ptr, &f.value, f.kind)?;
-    it.fused_boundary(f.pc2)?;
-    let Op::Store { ptr, value, kind } = &f.second else {
-        return Err(Trap::Invalid("malformed fused store pair".into()));
-    };
-    it.exec_store(regs, ptr, value, *kind)?;
-    Ok(Flow::Skip2)
-}
-
-fn h_fused_group(it: &mut Interp, regs: &mut [Option<Value>], op: &Op) -> Result<Flow, Trap> {
-    let Op::FusedGroup(g) = op else {
-        return Err(malformed_op());
-    };
-    // Each member executes exactly as its unfused op would, with the
-    // inter-op boundary accounting replicated between members; only the
-    // dispatch-loop iterations collapse. The optimizer guarantees
-    // members are simple straight-line ops (every one steps
-    // `Flow::Next`).
-    let n = g.members.len() as u32;
-    // Fast path: when nothing per-boundary can fire inside this group —
-    // no pc profiling, no armed fault at an interior member, and the
-    // instruction budget cannot run out mid-group — batch the boundary
-    // accounting: clear the fault flag once and settle `instrs` in one
-    // add. The slow path below is bit-for-bit equivalent.
-    let armed_inside = it.armed_pc > g.base && it.armed_pc < g.base + n;
-    if !it.tele_cfg.profile && !armed_inside && it.instrs + u64::from(n - 1) <= it.max_instrs {
-        for (i, member) in g.members.iter().enumerate() {
-            if i == 1 {
-                it.fault_pending = false;
-            }
-            match it.step_op(regs, member) {
-                Ok(Flow::Next) => {}
-                Ok(_) => {
-                    it.instrs += i as u64;
-                    return Err(Trap::Invalid("malformed fused group".into()));
-                }
-                Err(t) => {
-                    // A member trapped: settle the boundary increments
-                    // its predecessors earned so the outcome's instr
-                    // count matches the unfused execution exactly.
-                    it.instrs += i as u64;
-                    return Err(t);
-                }
-            }
-        }
-        it.instrs += u64::from(n - 1);
-        return Ok(Flow::SkipN(n));
-    }
-    for (i, member) in g.members.iter().enumerate() {
-        if i > 0 {
-            it.fused_boundary(g.base + i as u32)?;
-        }
-        match it.step_op(regs, member)? {
-            Flow::Next => {}
-            _ => return Err(Trap::Invalid("malformed fused group".into())),
-        }
-    }
-    Ok(Flow::SkipN(n))
 }
 
 /// Bytes moved by a load of the given pre-resolved kind.
@@ -2855,51 +2684,8 @@ mod dispatch_table_tests {
                 args: Box::new([]),
                 msg: "x".into(),
             },
-            Op::CheckElided {
-                site: 0,
-                reps: 1,
-                charge: true,
-            },
+            Op::CheckElided { site: 0 },
             Op::LoadElided { dst: 0, site: 0 },
-            Op::FusedLoadCheck(Box::new(crate::code::FusedLoadCheck {
-                dst: 0,
-                ptr: p(0),
-                kind: LoadKind::Ptr,
-                pc2: 1,
-                check: Op::CheckElided {
-                    site: 0,
-                    reps: 1,
-                    charge: false,
-                },
-            })),
-            Op::FusedStoreStore(Box::new(crate::code::FusedStoreStore {
-                ptr: p(0),
-                value: imm(0),
-                kind: StoreKind::Raw(8),
-                pc2: 1,
-                second: Op::Store {
-                    ptr: p(0),
-                    value: imm(0),
-                    kind: StoreKind::Raw(8),
-                },
-            })),
-            Op::FusedGroup(Box::new(crate::code::FusedGroup {
-                base: 0,
-                members: Box::new([
-                    Op::Copy {
-                        dst: 0,
-                        src: imm(1),
-                    },
-                    Op::Copy {
-                        dst: 1,
-                        src: imm(2),
-                    },
-                    Op::Copy {
-                        dst: 2,
-                        src: imm(3),
-                    },
-                ]),
-            })),
         ];
         // One op per shape, and the opcodes cover 0..OPCODE_COUNT densely.
         assert_eq!(samples.len(), OPCODE_COUNT);

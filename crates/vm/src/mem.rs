@@ -246,21 +246,21 @@ impl Mem {
     }
 
     fn locate(&self, addr: u64, len: usize) -> Result<(Region, usize), MemFault> {
-        let len = len as u64;
         if addr < 0x1000 {
             return Err(MemFault {
                 addr,
                 kind: MemFaultKind::NullPage,
             });
         }
-        if addr >= GLOBAL_BASE && addr + len <= GLOBAL_BASE + self.globals_len as u64 {
-            return Ok((Region::Global, (addr - GLOBAL_BASE) as usize));
+        let len = len as u64;
+        if let Some(off) = offset_in(addr, len, GLOBAL_BASE, self.globals_len) {
+            return Ok((Region::Global, off));
         }
-        if addr >= HEAP_BASE && addr + len <= HEAP_BASE + self.brk as u64 {
-            return Ok((Region::Heap, (addr - HEAP_BASE) as usize));
+        if let Some(off) = offset_in(addr, len, HEAP_BASE, self.brk) {
+            return Ok((Region::Heap, off));
         }
-        if addr >= STACK_BASE && addr + len <= STACK_BASE + self.stack.len() as u64 {
-            return Ok((Region::Stack, (addr - STACK_BASE) as usize));
+        if let Some(off) = offset_in(addr, len, STACK_BASE, self.stack.len()) {
+            return Ok((Region::Stack, off));
         }
         Err(MemFault {
             addr,
@@ -274,11 +274,11 @@ impl Mem {
     pub fn region_of(&self, addr: u64) -> Option<MemRegion> {
         if addr < 0x1000 {
             None
-        } else if addr >= GLOBAL_BASE && addr < GLOBAL_BASE + self.globals_len as u64 {
+        } else if offset_in(addr, 1, GLOBAL_BASE, self.globals_len).is_some() {
             Some(MemRegion::Globals)
-        } else if addr >= HEAP_BASE && addr < HEAP_BASE + self.brk as u64 {
+        } else if offset_in(addr, 1, HEAP_BASE, self.brk).is_some() {
             Some(MemRegion::Heap)
-        } else if addr >= STACK_BASE && addr < STACK_BASE + self.stack.len() as u64 {
+        } else if offset_in(addr, 1, STACK_BASE, self.stack.len()).is_some() {
             Some(MemRegion::Stack)
         } else {
             None
@@ -405,13 +405,15 @@ impl Mem {
     /// exhausted.
     pub fn stack_alloc(&mut self, size: u64) -> Result<u64, MemFault> {
         let off = self.sp.next_multiple_of(16);
-        let end = off + size as usize;
-        if end > self.stack.len() {
-            return Err(MemFault {
-                addr: STACK_BASE + off as u64,
-                kind: MemFaultKind::StackOverflow,
-            });
-        }
+        let end = match off.checked_add(size as usize) {
+            Some(end) if end <= self.stack.len() => end,
+            _ => {
+                return Err(MemFault {
+                    addr: STACK_BASE + off as u64,
+                    kind: MemFaultKind::StackOverflow,
+                })
+            }
+        };
         self.sp = end;
         let addr = STACK_BASE + off as u64;
         self.garbage_fill(addr, size as usize)
@@ -429,7 +431,7 @@ impl Mem {
     /// Returns the previous break address, or `None` when the heap
     /// capacity is exhausted (malloc will return null).
     pub fn grow_heap(&mut self, grow: usize) -> Option<u64> {
-        if self.brk + grow > self.heap.len() {
+        if self.brk.checked_add(grow)? > self.heap.len() {
             return None;
         }
         let addr = HEAP_BASE + self.brk as u64;
@@ -538,6 +540,15 @@ impl Mem {
         x ^= x >> 33;
         x & 1 == 1
     }
+}
+
+/// The offset of `[addr, addr + len)` inside the region of `size` mapped
+/// bytes at `base`, when the whole range lies inside it. Checked
+/// arithmetic throughout: a range that would wrap past `u64::MAX` is
+/// unmapped, never a huge in-bounds offset.
+fn offset_in(addr: u64, len: u64, base: u64, size: usize) -> Option<usize> {
+    let off = addr.checked_sub(base)?;
+    (off.checked_add(len)? <= size as u64).then_some(off as usize)
 }
 
 /// One xorshift64 state advance (the linear half of the garbage stream;

@@ -181,6 +181,80 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------
+// Address-space bounds
+// ---------------------------------------------------------------------
+
+/// A small address space with all three regions mapped, and the edges
+/// worth probing: the ends of the address space and every region bound.
+fn edge_mem() -> (Mem, [u64; 8]) {
+    use dpmr::vm::mem::{GLOBAL_BASE, HEAP_BASE, STACK_BASE};
+    let mut mem = Mem::new(&MemConfig {
+        global_capacity: 4096,
+        heap_capacity: 4096,
+        stack_capacity: 4096,
+        fill_seed: 3,
+    });
+    mem.alloc_global(64);
+    mem.grow_heap(256).expect("heap capacity");
+    let edges = [
+        0,
+        u64::MAX,
+        GLOBAL_BASE,
+        GLOBAL_BASE + mem.globals_len() as u64,
+        HEAP_BASE,
+        HEAP_BASE + mem.brk() as u64,
+        STACK_BASE,
+        STACK_BASE + mem.stack_size() as u64,
+    ];
+    (mem, edges)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+    /// The VM models memory errors and must never have one: at every
+    /// edge address (`0`, `u64::MAX - k`, each region bound ± the access
+    /// width) and every width 1..=16, each `Mem` entry point returns
+    /// `Ok` or a `MemFault` naming the address. An access is mapped
+    /// exactly when its first and last byte fall in the same region.
+    #[test]
+    fn mem_entry_points_fault_instead_of_panicking_at_edges(
+        edge in 0usize..8,
+        delta in 0u64..=32,
+        below in any::<bool>(),
+        width in 1usize..=16,
+    ) {
+        let (mut mem, edges) = edge_mem();
+        let addr = if below {
+            edges[edge].wrapping_sub(delta)
+        } else {
+            edges[edge].wrapping_add(delta)
+        };
+        let last = addr.checked_add(width as u64 - 1);
+        let mapped = mem.region_of(addr).is_some()
+            && last.is_some_and(|l| mem.region_of(l) == mem.region_of(addr));
+        match mem.read(addr, width) {
+            Ok(bytes) => prop_assert_eq!(bytes.len(), width),
+            Err(f) => prop_assert_eq!(f.addr, addr),
+        }
+        prop_assert_eq!(mem.read(addr, width).is_ok(), mapped);
+        prop_assert_eq!(mem.write(addr, &[0x5A; 16][..width]).is_ok(), mapped);
+        prop_assert_eq!(mem.garbage_fill(addr, width).is_ok(), mapped);
+        if width == 4 {
+            prop_assert_eq!(mem.read_u32(addr).is_ok(), mapped);
+            prop_assert_eq!(mem.write_u32(addr, 7).is_ok(), mapped);
+        }
+        if width == 8 {
+            prop_assert_eq!(mem.read_u64(addr).is_ok(), mapped);
+            prop_assert_eq!(mem.write_u64(addr, 7).is_ok(), mapped);
+        }
+        // Region growth near the top of the size range refuses instead
+        // of wrapping.
+        prop_assert!(mem.stack_alloc(u64::MAX - delta).is_err());
+        prop_assert!(mem.grow_heap(usize::MAX - delta as usize).is_none());
+    }
+}
+
+// ---------------------------------------------------------------------
 // Scalar encoding properties
 // ---------------------------------------------------------------------
 
@@ -974,23 +1048,13 @@ proptest! {
 // Optimizer pass-pipeline properties
 // ---------------------------------------------------------------------
 
-/// The pass combinations the optimizer properties sweep: off, each
-/// preserving pass alone, both together, and the drop-all
-/// profile-guided pipeline (usefulness 0 for every site — the most
+/// The optimizer configurations the properties sweep: off, and the
+/// drop-all profile-guided pass (usefulness 0 for every site — the most
 /// aggressive partial-replication configuration).
 fn prop_pass_combo(pick: usize, check_sites: u32) -> PassConfig {
-    match pick % 5 {
+    match pick % 2 {
         0 => PassConfig::none(),
-        1 => PassConfig {
-            elide_redundant_checks: true,
-            ..PassConfig::none()
-        },
-        2 => PassConfig {
-            fuse_superinstructions: true,
-            ..PassConfig::none()
-        },
-        3 => PassConfig::all(),
-        _ => PassConfig::all().with_profile(ProfileGuided {
+        _ => PassConfig::none().with_profile(ProfileGuided {
             usefulness: vec![0.0; check_sites as usize],
             threshold: 0.0,
         }),
@@ -999,16 +1063,16 @@ fn prop_pass_combo(pick: usize, check_sites: u32) -> PassConfig {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
-    /// print → parse → lower → optimize is deterministic under every
-    /// pass combination: optimizing twice agrees, and optimizing the
+    /// print → parse → lower → optimize is deterministic with the
+    /// optimizer off and on: optimizing twice agrees, and optimizing the
     /// text round-trip of the module produces the identical optimized
-    /// bytecode. Pcs, site ids, and pass reports are all stable through
-    /// the text format.
+    /// bytecode. Pcs, site ids, and the dropped-site report are all
+    /// stable through the text format.
     #[test]
     fn print_lower_optimize_is_deterministic_per_combo(
         ops in fix_strategy(),
         k in 1usize..=2,
-        combo in 0usize..5,
+        combo in 0usize..2,
     ) {
         let m = build_fixpoint_program(&ops);
         let t = transform(&m, &DpmrConfig::sds().with_replicas(k))
@@ -1022,107 +1086,7 @@ proptest! {
             .map_err(|e| TestCaseError::fail(format!("{e}")))?;
         let c = optimize(&dpmr::vm::lower::lower(&reparsed), &cfg);
         prop_assert_eq!(&a.code, &c.code);
-        prop_assert_eq!(a.elided.len(), c.elided.len());
         prop_assert_eq!(a.dropped.len(), c.dropped.len());
-    }
-
-    /// Redundant-check elimination never removes the evidence it stands
-    /// on: every elided check's proving check is still a live
-    /// `dpmr.check` in the optimized code, so elision can never empty a
-    /// code object of checks it had (the last check of a region is
-    /// always kept).
-    #[test]
-    fn elision_keeps_its_proving_check_live(
-        ops in fix_strategy(),
-        k in 1usize..=2,
-    ) {
-        let m = build_fixpoint_program(&ops);
-        let t = transform(&m, &DpmrConfig::sds().with_replicas(k))
-            .map_err(|e| TestCaseError::fail(format!("{e}")))?;
-        let code = dpmr::vm::lower::lower(&t);
-        let before = dpmr::vm::opt::live_check_count(&code);
-        let mut cfg = PassConfig::none();
-        cfg.elide_redundant_checks = true;
-        let out = optimize(&code, &cfg);
-        for e in &out.elided {
-            prop_assert!(
-                matches!(out.code.ops[e.kept_pc as usize], Op::DpmrCheck { .. }),
-                "elision {} kept_pc {} is not a live check", e.site, e.kept_pc
-            );
-        }
-        prop_assert_eq!(out.live_checks() + out.elided.len() as u64, before);
-        if before > 0 {
-            prop_assert!(out.live_checks() > 0, "elision removed the last check");
-        }
-    }
-
-    /// The semantics-preserving combinations are differentially
-    /// invisible: pass-on and pass-off executions of the same
-    /// transformed module produce the identical `RunOutcome` — output,
-    /// virtual clock, instruction count, and detection accounting — on
-    /// clean runs, and identical detection verdicts under faults armed
-    /// at load pcs outside every elision's backing loads.
-    #[test]
-    fn preserving_passes_never_change_outcomes(
-        prog in 0usize..3,
-        k in 1usize..=2,
-        seed in 1u64..100_000,
-        combo in 1usize..4,
-        site_pick in 0usize..64,
-    ) {
-        let m = fi_program(prog);
-        let t = transform(&m, &DpmrConfig::sds().with_replicas(k))
-            .map_err(|e| TestCaseError::fail(format!("{e}")))?;
-        let code = Rc::new(dpmr::vm::lower::lower(&t));
-        let out = optimize(&code, &prop_pass_combo(combo, code.check_sites));
-        let opt_code = Rc::new(out.code);
-        let run = |code: &Rc<LoweredCode>, fault: Option<dpmr::fi::ArmedFault>| {
-            let rc = RunConfig { seed, fault, ..RunConfig::default() };
-            let reg = Rc::new(registry_with_wrappers());
-            Interp::with_code(&t, Rc::clone(code), &rc, reg).run(vec![])
-        };
-        let (a, b) = (run(&code, None), run(&opt_code, None));
-        prop_assert_eq!(&a.status, &b.status);
-        prop_assert_eq!(&a.output, &b.output);
-        prop_assert_eq!(a.cycles, b.cycles);
-        prop_assert_eq!(a.instrs, b.instrs);
-        prop_assert_eq!(a.detections, b.detections);
-        prop_assert_eq!(a.repairs, b.repairs);
-        // Armed equivalence, scoped away from elided checks' backing
-        // loads (a fault armed there corrupts a value only the elided
-        // comparison would have seen).
-        let excluded: Vec<u32> = out
-            .elided
-            .iter()
-            .flat_map(|e| e.backing_load_pcs.iter().copied())
-            .collect();
-        let load_pcs: Vec<u32> = code
-            .ops
-            .iter()
-            .enumerate()
-            .filter(|(pc, op)| {
-                matches!(op, Op::Load { .. }) && !excluded.contains(&(*pc as u32))
-            })
-            .map(|(pc, _)| pc as u32)
-            .collect();
-        if load_pcs.is_empty() {
-            return Ok(());
-        }
-        let fault = dpmr::fi::ArmedFault {
-            site: load_pcs[site_pick % load_pcs.len()],
-            fault: dpmr::fi::FaultModel::BitFlip {
-                region: dpmr::vm::mem::MemRegion::Heap,
-            },
-            seed,
-            arm_cycle: 0,
-        };
-        let (fa, fb) = (run(&code, Some(fault)), run(&opt_code, Some(fault)));
-        prop_assert_eq!(&fa.status, &fb.status);
-        prop_assert_eq!(&fa.output, &fb.output);
-        prop_assert_eq!(fa.cycles, fb.cycles);
-        prop_assert_eq!(fa.instrs, fb.instrs);
-        prop_assert_eq!(fa.detections, fb.detections);
-        prop_assert_eq!(fa.repairs, fb.repairs);
     }
 
     /// The drop-all profile-guided pipeline changes only what it is
@@ -1139,7 +1103,7 @@ proptest! {
         let t = transform(&m, &DpmrConfig::sds().with_replicas(k))
             .map_err(|e| TestCaseError::fail(format!("{e}")))?;
         let code = Rc::new(dpmr::vm::lower::lower(&t));
-        let pgo = Rc::new(optimize(&code, &prop_pass_combo(4, code.check_sites)).code);
+        let pgo = Rc::new(optimize(&code, &prop_pass_combo(1, code.check_sites)).code);
         let run = |code: &Rc<LoweredCode>| {
             let rc = RunConfig { seed, ..RunConfig::default() };
             let reg = Rc::new(registry_with_wrappers());
