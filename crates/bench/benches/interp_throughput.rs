@@ -41,10 +41,10 @@ fn smoke() -> bool {
 /// threaded-dispatch engine: every one sits at ~0.7× the full-mode
 /// median (or ~0.6× the weaker of two smoke runs) measured on the
 /// reference container after the hazard-window rework, and the
-/// `dpmr_check_*` floors sit *above* the plain-dispatch engine's
-/// recorded medians (46.6/35.3 MIPS at the previous revision, see
-/// `BENCH_INTERP.json`) — losing the threaded loop fails the gate at
-/// ratio 1.0, while runner noise does not. The `dpmr_scrub_k2_pgo`
+/// `dpmr_check_*` floors sit *above* the medians recorded in
+/// `BENCH_INTERP.json` for the per-op checked loop that predated hazard
+/// windows (46.6/35.3 MIPS) — losing the windowed fast path fails the
+/// gate at ratio 1.0, while runner noise does not. The `dpmr_scrub_k2_pgo`
 /// floor stays ≥ 1.2× the `dpmr_scrub_k2` floor: the optimizer's
 /// acceptance margin is encoded in the gate, not just in the
 /// trajectory file. The numbers are absolute MIPS from one machine, so

@@ -342,17 +342,9 @@ pub struct RunConfig {
     /// Runtime fault armed for this run (the Mem/Interp-boundary
     /// injection hook; see [`crate::fault`]). `None` runs clean.
     pub fault: Option<ArmedFault>,
-    /// Telemetry collection (off by default; one branch per op when off,
+    /// Telemetry collection (off by default and free per op when off,
     /// the same discipline as the fault hook — see [`crate::telemetry`]).
     pub telemetry: TelemetryConfig,
-    /// Force the checked per-op dispatch loop, never opening hazard
-    /// windows (see `Interp::dispatch`). The two engines are
-    /// bit-identical in every observable — outcomes, virtual cycles,
-    /// instruction counts, snapshots, telemetry — so this exists only
-    /// for differential testing and for measuring the threaded
-    /// dispatcher's win. Also settable process-wide with the
-    /// `DPMR_PLAIN_DISPATCH` environment variable (any value but `0`).
-    pub plain_dispatch: bool,
 }
 
 impl Default for RunConfig {
@@ -372,19 +364,8 @@ impl Default for RunConfig {
             max_depth: 1 << 17,
             fault: None,
             telemetry: TelemetryConfig::off(),
-            plain_dispatch: false,
         }
     }
-}
-
-/// Process-wide `DPMR_PLAIN_DISPATCH` override (read once): forces every
-/// interpreter onto the checked per-op loop, the differential-testing
-/// knob CI uses to prove the threaded engine changes nothing observable.
-fn plain_dispatch_env() -> bool {
-    static PLAIN: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *PLAIN.get_or_init(|| {
-        std::env::var("DPMR_PLAIN_DISPATCH").is_ok_and(|v| !v.is_empty() && v != "0")
-    })
 }
 
 /// Internal control-flow escape.
@@ -476,28 +457,21 @@ enum DispatchEnd {
     Paused,
 }
 
-/// How one hazard-window fast run ([`Interp::run_window`]) ended. Traps
-/// propagate as `Err` exactly as the slow loop's do; these are the
-/// non-trap exits.
+/// How one hazard window ([`Interp::run_window`]) ended without a trap.
+/// Everything else a window can meet — the instruction budget, a
+/// `BadBlock` pad, a pc outside the op stream, a failing op — is a trap
+/// raised inside the window and propagated as `Err`.
 enum Window {
     /// The base activation returned with this value.
     Returned(Option<Value>),
     /// The window closed on a boundary the dispatch-loop *top* settles
     /// (checkpoint cadence due, pause budget reached): loop back to the
-    /// top so the checkpoint or pause lands at exactly the instruction
-    /// boundary the slow loop would give it, then reopen a window.
+    /// top so the checkpoint or pause lands on that instruction
+    /// boundary, then reopen a window.
     Hazard,
-    /// The window closed on a condition only a checked per-op iteration
-    /// can settle (instruction budget exhausted, a `BadBlock` pad, a pc
-    /// outside the op stream): execute exactly one slow iteration, then
-    /// return to the top. Distinct from [`Window::Hazard`] because the
-    /// top would clear nothing here — looping back without progress
-    /// would spin.
-    Fall,
 }
 
-/// Uniform signature of a threaded-dispatch op handler: the `match` arm
-/// of the former monolithic `step_op`, reachable through one indirect
+/// Uniform signature of an op handler, reachable through one indirect
 /// call via [`HANDLERS`].
 type OpHandler = for<'a, 'b, 'c, 'm> fn(
     &'a mut Interp<'m>,
@@ -576,9 +550,6 @@ pub struct Interp<'m> {
     /// Collected telemetry data (all-empty when collection is off, so
     /// snapshot clones stay free).
     tele: Telemetry,
-    /// Never open hazard windows (config flag or `DPMR_PLAIN_DISPATCH`):
-    /// every op runs on the checked slow loop.
-    plain_dispatch: bool,
 }
 
 impl<'m> Interp<'m> {
@@ -675,7 +646,6 @@ impl<'m> Interp<'m> {
             fault_hits: 0,
             tele_cfg: cfg.telemetry,
             tele: Telemetry::default(),
-            plain_dispatch: cfg.plain_dispatch || plain_dispatch_env(),
         };
         if it.tele_cfg.sites {
             it.tele.site_stats = vec![Default::default(); it.code.check_sites as usize];
@@ -1244,27 +1214,21 @@ impl<'m> Interp<'m> {
     /// simulated execution state stays in `self.frames`; the host stack
     /// does not grow with simulated call depth.
     ///
-    /// # Fast/slow loop contract
-    ///
-    /// Per iteration the loop runs the top-of-boundary concerns
-    /// (checkpoint cadence, pause budget — top level only), then hands
-    /// execution to the **hazard-window fast loop**
-    /// ([`Interp::run_window`]) unless something per-op is live (pc
-    /// profiling, [`RunConfig::plain_dispatch`]). The fast loop executes
-    /// ops unchecked — pc, frame index, and registers cached in locals —
-    /// until the precomputed window closes, then either loops back here
-    /// ([`Window::Hazard`]) or requests exactly one checked iteration
-    /// ([`Window::Fall`]). The checked iteration below is the original
-    /// engine, byte-for-byte; both paths call the same [`HANDLERS`], so
-    /// every observable — instruction counts, virtual cycles, traps,
-    /// telemetry, snapshots — is bit-identical between them.
+    /// Each iteration settles the top-of-boundary concerns (checkpoint
+    /// cadence, pause budget — top level only), then runs one hazard
+    /// window ([`Interp::run_window`]), the engine's only op loop. A
+    /// window returns here only when one of those concerns is due
+    /// ([`Window::Hazard`]) or the base activation returned; every other
+    /// ending — the instruction budget included — is a trap raised
+    /// inside the window. Where the windows are cut is unobservable:
+    /// outcomes, virtual cycles, instruction counts, telemetry, and
+    /// snapshots are the same whether a run is driven one instruction
+    /// per window or in one unbounded window.
     fn dispatch(&mut self, base: usize) -> Result<DispatchEnd, Trap> {
         // The bytecode is behind an Rc so ops can be borrowed across the
         // `&mut self` op execution (the lowered code is immutable).
         let code = Rc::clone(&self.code);
-        // Per-op pc profiling is the one telemetry concern with work at
-        // every iteration; it pins execution to the checked loop.
-        let threaded = !self.plain_dispatch && !self.tele_cfg.per_op();
+        let profile = self.tele_cfg.profile;
         loop {
             if base == 0 {
                 self.maybe_auto_checkpoint();
@@ -1274,116 +1238,49 @@ impl<'m> Interp<'m> {
                     }
                 }
             }
-            if threaded {
-                // The armed-pc compare is compiled out of clean runs
-                // (the overwhelmingly common case) via the const.
-                let w = if self.armed_pc == UNARMED_PC {
-                    self.run_window::<false>(&code, base)
-                } else {
-                    self.run_window::<true>(&code, base)
-                }?;
-                match w {
-                    Window::Returned(v) => return Ok(DispatchEnd::Returned(v)),
-                    Window::Hazard => continue,
-                    Window::Fall => {}
-                }
-            }
-            let fi = self.frames.len() - 1;
-            let pc = self.frames[fi].pc;
-            let op = &code.ops[pc as usize];
-            // A branch to a nonexistent block lands on a pad; the trap is
-            // uncounted and uncharged, like the old block-bounds check.
-            if let Op::BadBlock { block } = op {
-                self.unwind(base);
-                return Err(Trap::Invalid(format!("jump to nonexistent block b{block}")));
-            }
-            self.instrs += 1;
-            if self.instrs > self.max_instrs {
-                self.unwind(base);
-                return Err(Trap::Timeout);
-            }
-            // The injection hook's fast path: one compare per op against
-            // the armed site pc (`u32::MAX` when unarmed, so the flag
-            // stays false for clean runs at negligible cost).
-            self.fault_pending = pc == self.armed_pc;
-            // The pc profile's fast path mirrors it: one flag branch per
-            // op, a counter bump only when profiling is on. `get_mut`
-            // keeps a panic edge out of the hot loop (`pc_exec` is empty
-            // when profiling is off, sized to `ops` when on).
-            if self.tele_cfg.profile {
-                if let Some(n) = self.tele.pc_exec.get_mut(pc as usize) {
-                    *n += 1;
-                }
-            }
-            // Take the registers out of the frame for the duration of the
-            // step (a pointer swap): `step_op` gets disjoint mutable
-            // access to them and `self`, and nested calls pushed by
-            // external handlers never touch a suspended frame.
-            let mut regs = std::mem::take(&mut self.frames[fi].regs);
-            let flow = self.step_op(&mut regs, op);
-            self.frames[fi].regs = regs;
-            match flow {
-                Ok(Flow::Next) => self.frames[fi].pc = pc + 1,
-                Ok(Flow::Jump(target)) => self.frames[fi].pc = target,
-                Ok(Flow::Call { f, args, dst }) => {
-                    // Return lands on the op after the call.
-                    self.frames[fi].pc = pc + 1;
-                    if let Err(t) = self.push_frame(f, args, dst) {
-                        self.unwind(base);
-                        return Err(t);
-                    }
-                }
-                Ok(Flow::Ret(val)) => {
-                    let fr = self.frames.pop().expect("a frame is live");
-                    self.mem.stack_release(fr.stack_mark);
-                    if self.frames.len() == base {
-                        return Ok(DispatchEnd::Returned(val));
-                    }
-                    if let Some(d) = fr.ret_dst {
-                        match val {
-                            Some(v) => {
-                                let ci = self.frames.len() - 1;
-                                set_reg(&mut self.frames[ci].regs, d, v);
-                            }
-                            None => {
-                                self.unwind(base);
-                                return Err(void_call_value());
-                            }
-                        }
-                    }
-                }
-                Err(t) => {
-                    self.unwind(base);
-                    return Err(t);
-                }
+            // The armed-pc compare and the pc-profile bump are compiled
+            // out of clean, unprofiled runs (the overwhelmingly common
+            // case) via the consts.
+            let w = match (self.armed_pc != UNARMED_PC, profile) {
+                (false, false) => self.run_window::<false, false>(&code, base),
+                (true, false) => self.run_window::<true, false>(&code, base),
+                (false, true) => self.run_window::<false, true>(&code, base),
+                (true, true) => self.run_window::<true, true>(&code, base),
+            }?;
+            match w {
+                Window::Returned(v) => return Ok(DispatchEnd::Returned(v)),
+                Window::Hazard => {}
             }
         }
     }
 
-    /// The hazard-window fast loop. On entry it computes the window
-    /// bounds — the nearest instruction count and virtual cycle at which
-    /// anything non-plain can fire:
+    /// The hazard window. On entry it computes the window bounds — the
+    /// nearest instruction count and virtual cycle at which anything
+    /// beyond plain op execution can fire:
     ///
     /// * `instr_hazard` — the pause budget (top level only) and the
     ///   instruction budget, whichever is nearer;
     /// * `cycle_hazard` — the next checkpoint-cadence boundary (top
     ///   level only; `u64::MAX` when cadence is off);
-    /// * the armed fault pc, compiled in per-op only when `ARMED` (the
-    ///   caller picks the instantiation, so clean runs carry no compare);
-    /// * per-op telemetry and `plain_dispatch` never reach here — the
-    ///   caller keeps those runs on the checked loop entirely.
+    /// * the armed fault pc, compiled in per op only when `ARMED`, and
+    ///   the pc-profile bump, compiled in only when `PROFILE` (the caller
+    ///   picks the instantiation, so clean runs carry neither).
     ///
     /// Until a bound is reached, ops execute with the frame index, pc,
-    /// and registers cached in locals: no checkpoint/pause/timeout
-    /// checks, no `BadBlock` discriminant test against the full op, no
-    /// per-frame pc store, no register-vector swap — one dense-opcode
-    /// fetch and one indirect call per op. Calls and returns re-cache
-    /// the locals; window closure parks pc/registers back into the frame
-    /// before returning, so the interpreter state a caller observes is
-    /// exactly a slow-loop instruction boundary (snapshots taken at the
-    /// dispatch top stay valid and portable).
+    /// and registers cached in locals: one dense-opcode fetch and one
+    /// call per op, no per-frame pc store, no register-vector swap.
+    /// Calls and returns re-cache the locals. At a bound the window
+    /// parks pc and registers back into the frame and returns
+    /// [`Window::Hazard`] when a pause or checkpoint is due, so the
+    /// interpreter state a caller observes is an instruction boundary
+    /// (snapshots taken at the dispatch top stay valid and portable).
+    /// The instruction budget is settled here instead: the op that would
+    /// exceed it is counted and the run traps with [`Trap::Timeout`] —
+    /// unless that op is a `BadBlock` pad, which outranks the budget and
+    /// traps uncounted and uncharged. A pc outside the op stream traps
+    /// as invalid execution.
     #[inline(never)]
-    fn run_window<const ARMED: bool>(
+    fn run_window<const ARMED: bool, const PROFILE: bool>(
         &mut self,
         code: &LoweredCode,
         base: usize,
@@ -1407,31 +1304,41 @@ impl<'m> Interp<'m> {
         let mut pc = self.frames[fi].pc;
         let mut regs = std::mem::take(&mut self.frames[fi].regs);
         loop {
+            let Some((op, &oc)) = ops.get(pc as usize).zip(opcodes.get(pc as usize)) else {
+                self.unwind(base);
+                return Err(pc_out_of_stream(pc));
+            };
             if self.instrs >= instr_hazard || self.clock >= cycle_hazard {
-                self.frames[fi].pc = pc;
-                self.frames[fi].regs = regs;
-                return Ok(self.close_window(base));
-            }
-            let (op, oc) = match (ops.get(pc as usize), opcodes.get(pc as usize)) {
-                (Some(op), Some(&oc)) => (op, oc),
-                // A pc outside the op stream: park and let the checked
-                // loop reproduce the plain engine's behaviour exactly.
-                _ => {
+                if self.boundary_due(base) {
                     self.frames[fi].pc = pc;
                     self.frames[fi].regs = regs;
-                    return Ok(Window::Fall);
+                    return Ok(Window::Hazard);
                 }
-            };
+                // Only the instruction budget remains. The op that would
+                // exceed it is counted, then the run times out — unless
+                // it is a pad, which traps first, below.
+                if oc != OpCode::BadBlock {
+                    self.instrs += 1;
+                    self.unwind(base);
+                    return Err(Trap::Timeout);
+                }
+            }
             if oc == OpCode::BadBlock {
-                // The pad traps uncounted and uncharged; only the
-                // checked loop knows how.
-                self.frames[fi].pc = pc;
-                self.frames[fi].regs = regs;
-                return Ok(Window::Fall);
+                // A branch to a nonexistent block lands on a pad; the
+                // trap is uncounted and uncharged.
+                self.unwind(base);
+                return Err(bad_block(op));
             }
             self.instrs += 1;
             if ARMED {
                 self.fault_pending = pc == self.armed_pc;
+            }
+            if PROFILE {
+                // `get_mut` keeps a panic edge out of the loop
+                // (`pc_exec` is sized to `ops` when profiling is on).
+                if let Some(n) = self.tele.pc_exec.get_mut(pc as usize) {
+                    *n += 1;
+                }
             }
             // Hot-op fast path: the opcodes that dominate every measured
             // workload profile (simple ALU/address/branch/memory ops) are
@@ -1493,24 +1400,17 @@ impl<'m> Interp<'m> {
         }
     }
 
-    /// Decides how a closed hazard window resumes (out of line: window
-    /// closure is orders of magnitude rarer than op execution).
+    /// True when a closed hazard window must hand back to the dispatch
+    /// top: a pause or checkpoint is due (top level only). The top is
+    /// guaranteed to make progress — take the checkpoint, deliver the
+    /// pause — before a window reopens. Out of line: window closure is
+    /// orders of magnitude rarer than op execution.
     #[cold]
     #[inline(never)]
-    fn close_window(&self, base: usize) -> Window {
-        // Close reasons the dispatch top settles: loop back to it. The
-        // top is guaranteed to make progress (take the due checkpoint,
-        // deliver the due pause) before a window reopens.
-        let pause_due = base == 0 && self.pause_at.is_some_and(|p| self.instrs >= p);
-        let checkpoint_due = base == 0 && self.clock >= self.next_checkpoint;
-        if pause_due || checkpoint_due {
-            Window::Hazard
-        } else {
-            // Only the instruction budget remains: one checked
-            // iteration delivers the timeout with slow-loop ordering
-            // (a `BadBlock` pad still outranks it there).
-            Window::Fall
-        }
+    fn boundary_due(&self, base: usize) -> bool {
+        base == 0
+            && (self.pause_at.is_some_and(|p| self.instrs >= p)
+                || self.clock >= self.next_checkpoint)
     }
 
     /// Evaluates a pre-resolved operand: one slot read or an immediate.
@@ -1891,15 +1791,6 @@ impl<'m> Interp<'m> {
         }
         Ok(())
     }
-
-    /// Executes one op against the current frame's registers: one
-    /// indirect call through the dense-opcode handler table. Used by the
-    /// checked loop; the fast loop indexes [`HANDLERS`] with the opcode
-    /// side-table directly.
-    #[inline]
-    fn step_op(&mut self, regs: &mut [Option<Value>], op: &Op) -> Result<Flow, Trap> {
-        HANDLERS[op.opcode() as usize](self, regs, op)
-    }
 }
 
 /// The threaded dispatch table, indexed by [`OpCode`] (dense, no holes:
@@ -1978,6 +1869,21 @@ fn bad_indirect_call(p: u64) -> Trap {
 
 #[cold]
 #[inline(never)]
+fn bad_block(op: &Op) -> Trap {
+    match op {
+        Op::BadBlock { block } => Trap::Invalid(format!("jump to nonexistent block b{block}")),
+        _ => malformed_op(),
+    }
+}
+
+#[cold]
+#[inline(never)]
+fn pc_out_of_stream(pc: u32) -> Trap {
+    Trap::Invalid(format!("pc {pc} outside the op stream"))
+}
+
+#[cold]
+#[inline(never)]
 fn div_by_zero() -> Trap {
     Trap::Invalid("division by zero".into())
 }
@@ -1997,9 +1903,9 @@ fn malformed_op() -> Trap {
     Trap::Invalid("op/opcode mismatch in threaded dispatch".into())
 }
 
-// The op handlers: one per `OpCode`, each the former `step_op` match
-// arm. Free functions (not methods) so their `Interp` lifetime stays
-// late-bound and coerces to the HRTB `OpHandler` signature.
+// The op handlers: one per `OpCode`. Free functions (not methods) so
+// their `Interp` lifetime stays late-bound and coerces to the HRTB
+// `OpHandler` signature.
 
 fn h_alloca(it: &mut Interp, regs: &mut [Option<Value>], op: &Op) -> Result<Flow, Trap> {
     let Op::Alloca { dst, count, size } = op else {
@@ -2012,8 +1918,11 @@ fn h_alloca(it: &mut Interp, regs: &mut [Option<Value>], op: &Op) -> Result<Flow
         }
         None => 1,
     };
-    it.clock += cost::ALU + (size * n) / 64;
-    let addr = it.mem.stack_alloc(size * n)?;
+    let bytes = size.checked_mul(n);
+    it.clock += cost::ALU + bytes.unwrap_or(0) / 64;
+    // A byte size past `u64` is an oversized request like any other:
+    // `stack_alloc` refuses it with its `StackOverflow` fault.
+    let addr = it.mem.stack_alloc(bytes.unwrap_or(u64::MAX))?;
     set_reg(regs, *dst, Value::Ptr(addr));
     Ok(Flow::Next)
 }
@@ -2384,10 +2293,12 @@ fn h_unreachable(it: &mut Interp, _regs: &mut [Option<Value>], op: &Op) -> Resul
     Err(Trap::Invalid("executed unreachable".into()))
 }
 
-fn h_bad_block(_it: &mut Interp, _regs: &mut [Option<Value>], _op: &Op) -> Result<Flow, Trap> {
-    // Both loops settle `BadBlock` pads *before* dispatching (the trap
-    // is uncounted and uncharged), so no handler call ever lands here.
-    unreachable!("BadBlock is settled by the dispatch loops before any handler runs")
+/// A `BadBlock` pad's table slot. The hazard window settles pads before
+/// counting or dispatching the op (the trap is uncounted and uncharged),
+/// so executed code never lands here; a direct table call raises the
+/// same trap.
+fn h_bad_block(_it: &mut Interp, _regs: &mut [Option<Value>], op: &Op) -> Result<Flow, Trap> {
+    Err(bad_block(op))
 }
 
 fn h_invalid(it: &mut Interp, regs: &mut [Option<Value>], op: &Op) -> Result<Flow, Trap> {
@@ -2576,7 +2487,7 @@ mod dispatch_table_tests {
     /// Every handler slot must match its `OpCode` index: build one op of
     /// each shape, dispatch it through the table, and check the handler
     /// accepted the payload (a misaligned table returns `malformed_op`
-    /// or panics the `BadBlock` sentinel instead).
+    /// instead).
     #[test]
     fn opcode_table_is_aligned() {
         use dpmr_ir::instr::{BinOp, CastOp, CmpPred};
@@ -2693,18 +2604,14 @@ mod dispatch_table_tests {
         seen.sort_unstable();
         assert_eq!(seen, (0..OPCODE_COUNT).collect::<Vec<_>>());
         // Dispatch each through the table: no sample may be rejected as
-        // an op/opcode mismatch (BadBlock never reaches a handler and is
-        // asserted structurally above).
+        // an op/opcode mismatch.
         let module = Module::new();
         let cfg = RunConfig::default();
         let mut it = Interp::new(&module, &cfg, Rc::new(Registry::with_base()));
         let mismatch = malformed_op();
         for op in &samples {
-            if matches!(op, Op::BadBlock { .. }) {
-                continue;
-            }
             let mut regs: Vec<Option<Value>> = vec![None; 8];
-            let got = it.step_op(&mut regs, op);
+            let got = HANDLERS[op.opcode() as usize](&mut it, &mut regs, op);
             if let Err(t) = got {
                 assert_ne!(t, mismatch, "handler table misaligned at {op:?}");
             }

@@ -27,9 +27,11 @@
 //!
 //! Collection is off by default and gated per concern by
 //! [`TelemetryConfig`] on [`crate::interp::RunConfig`]. The dispatch-loop
-//! cost discipline matches the PR-4 fault hook: one flag branch per
-//! executed op when off (the counters and the event vector are empty, so
-//! snapshot clones stay free too).
+//! cost discipline matches the fault hook's: the pc profile is a
+//! const-generic instantiation of the hazard window, so an unprofiled
+//! run does no per-op telemetry work at all, and the other concerns cost
+//! one flag branch per relevant event when off (the counters and the
+//! event vector are empty, so snapshot clones stay free too).
 
 /// Which telemetry concerns an interpreter collects. All flags default
 /// to off; each costs one branch per relevant event when disabled.
@@ -39,13 +41,17 @@ pub struct TelemetryConfig {
     pub sites: bool,
     /// Per-pc execution counts over the lowered op stream (function
     /// attribution is derived via [`crate::code::LoweredCode::func_of_pc`]).
+    /// The one concern with work on every executed op: it selects the
+    /// hazard window's profiling instantiation, which bumps the op's
+    /// counter inline. Site counters and the event trace hang off
+    /// specific op handlers (checks, traps, checkpoints) instead.
     pub profile: bool,
     /// The ordered [`TraceEvent`] record.
     pub trace: bool,
 }
 
 impl TelemetryConfig {
-    /// Everything off (the default; collection costs one branch per op).
+    /// Everything off (the default).
     pub fn off() -> TelemetryConfig {
         TelemetryConfig::default()
     }
@@ -62,17 +68,6 @@ impl TelemetryConfig {
     /// True when any concern is enabled.
     pub fn any(self) -> bool {
         self.sites || self.profile || self.trace
-    }
-
-    /// True when collection does work on *every* dispatched op (the pc
-    /// profile's counter bump). This is the one telemetry concern that
-    /// closes the threaded engine's hazard windows: profiled runs stay
-    /// on the checked slow loop so each op's bump lands exactly where
-    /// the plain engine's would. Site counters and the event trace hang
-    /// off specific op handlers (checks, traps, checkpoints), not the
-    /// dispatch loop, so they leave windows open.
-    pub fn per_op(self) -> bool {
-        self.profile
     }
 }
 

@@ -781,3 +781,87 @@ fn checkpoint_cadence_collects_bounded_ring() {
     assert_eq!(replay.output, reference.output);
     assert_eq!(replay.cycles, reference.cycles);
 }
+
+#[test]
+fn alloca_count_overflowing_u64_bytes_overflows_the_stack() {
+    // 4-byte elements times 2^62 is 2^64 bytes: the byte size itself
+    // overflows, and the request is refused like any oversized one.
+    let m = module_with_main(|b| {
+        let i32t = b.module.types.int(32);
+        let _huge = b.alloca_n(i32t, Const::i64(1 << 62).into(), "huge");
+        b.ret(Some(Const::i64(0).into()));
+    });
+    let out = run(&m);
+    assert!(
+        matches!(
+            out.status,
+            ExitStatus::Crash(CrashKind::MemFault(MemFault {
+                kind: MemFaultKind::StackOverflow,
+                ..
+            }))
+        ),
+        "{:?}",
+        out.status
+    );
+}
+
+#[test]
+fn pc_past_the_op_stream_is_invalid_execution() {
+    let m = module_with_main(|b| {
+        b.output(Const::i64(7).into());
+        b.ret(Some(Const::i64(0).into()));
+    });
+    // Drop `ret`: after `output` the pc runs off the end of the stream.
+    let mut code = lower(&m);
+    code.ops.truncate(1);
+    code.rebuild_opcodes();
+    let rc = RunConfig::default();
+    let mut it = Interp::with_code(
+        &m,
+        std::rc::Rc::new(code),
+        &rc,
+        std::rc::Rc::new(Registry::with_base()),
+    );
+    let out = it.run(vec![]);
+    assert!(
+        matches!(out.status, ExitStatus::Crash(CrashKind::InvalidExec(_))),
+        "{:?}",
+        out.status
+    );
+    assert_eq!(out.output, vec![7]);
+}
+
+#[test]
+fn bad_block_pad_outranks_the_instruction_budget() {
+    // `output(1 + 2); br b99`: add (1 cycle), output (12), the jump
+    // (1), then the pad for the nonexistent block.
+    let m = module_with_main(|b| {
+        let i64t = b.module.types.int(64);
+        let s = b.bin(BinOp::Add, i64t, Const::i64(1).into(), Const::i64(2).into());
+        b.output(s.into());
+        b.br(BlockId(99));
+    });
+    let bad = ExitStatus::Crash(CrashKind::InvalidExec(
+        "jump to nonexistent block b99".into(),
+    ));
+    for (max_instrs, status, instrs, cycles) in [
+        (1, ExitStatus::Timeout, 2, 1),
+        (2, ExitStatus::Timeout, 3, 13),
+        // The budget is spent exactly on the pad: the pad traps first,
+        // uncounted and uncharged.
+        (3, bad.clone(), 3, 14),
+        (10, bad, 3, 14),
+    ] {
+        let rc = RunConfig {
+            max_instrs,
+            ..RunConfig::default()
+        };
+        let out = run_with_limits(&m, &rc);
+        assert_eq!(out.status, status, "max_instrs {max_instrs}");
+        assert_eq!(
+            (out.instrs, out.cycles),
+            (instrs, cycles),
+            "max_instrs {max_instrs}"
+        );
+    }
+}

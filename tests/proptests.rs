@@ -401,23 +401,17 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------
-// Threaded vs plain dispatch differential
+// Window-size invariance of the dispatch loop
 // ---------------------------------------------------------------------
 
-/// A run configuration for the dispatch differential: the same seeds
-/// and limits on both sides, with per-site and trace telemetry on (the
-/// richest observation channels that still permit the threaded fast
-/// loop — per-op profiling deliberately pins execution to the plain
-/// loop, so it cannot differ by construction).
-fn dispatch_cfg(seed: u64, plain: bool) -> RunConfig {
+/// A run configuration for the window-size properties: the same seeds
+/// and limits on both sides, with every telemetry concern on (per-site
+/// stats, the pc profile, and the event trace are the richest
+/// observation channels the engine has).
+fn dispatch_cfg(seed: u64) -> RunConfig {
     let mut rc = RunConfig {
         seed,
-        plain_dispatch: plain,
-        telemetry: TelemetryConfig {
-            sites: true,
-            trace: true,
-            ..TelemetryConfig::off()
-        },
+        telemetry: TelemetryConfig::full(),
         ..RunConfig::default()
     };
     rc.mem.fill_seed = seed ^ 0x5a5a_1234;
@@ -425,19 +419,31 @@ fn dispatch_cfg(seed: u64, plain: bool) -> RunConfig {
 }
 
 /// Everything observable about a finished run, as one comparable blob:
-/// the full outcome plus the telemetry (site stats and event trace).
+/// the full outcome plus the telemetry (site stats, pc profile, and
+/// event trace).
 fn observe(it: &mut Interp, out: &RunOutcome) -> String {
     format!("{out:?}|{:?}", it.telemetry())
 }
 
+/// The reference engine for window-size invariance: the same engine
+/// driven one top-level instruction per hazard window (`run_steps(1)`,
+/// then `resume_steps(1)` until the run completes).
+fn run_single_stepped(it: &mut Interp) -> RunOutcome {
+    let mut out = it.run_steps(vec![], 1);
+    while out.is_none() {
+        out = it.resume_steps(1);
+    }
+    out.expect("the loop exits on completion")
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
-    /// The threaded dispatcher (dense opcodes + hazard-window fast
-    /// loop) is observationally identical to the plain checked loop on
-    /// random transformed modules: same outcome, same virtual cycles,
-    /// same site stats, same event trace.
+    /// Where the hazard windows are cut is unobservable on random
+    /// transformed modules: one unbounded run and the same run driven one
+    /// instruction per window give the same outcome, virtual cycles,
+    /// instruction count, site stats, pc profile, and event trace.
     #[test]
-    fn threaded_dispatch_matches_plain_on_random_modules(
+    fn window_size_is_invisible_on_random_modules(
         n in 2i64..20,
         seed in 1u64..1_000,
         prog in 0usize..3,
@@ -451,18 +457,18 @@ proptest! {
         let t = transform(&m, &DpmrConfig::sds().with_replicas(k))
             .map_err(|e| TestCaseError::fail(format!("{e}")))?;
         let reg = Rc::new(registry_with_wrappers());
-        let mut plain = Interp::new(&t, &dispatch_cfg(seed, true), reg.clone());
-        let ref_out = plain.run(vec![]);
-        let mut thr = Interp::new(&t, &dispatch_cfg(seed, false), reg);
-        let thr_out = thr.run(vec![]);
-        prop_assert_eq!(observe(&mut plain, &ref_out), observe(&mut thr, &thr_out));
+        let mut stepped = Interp::new(&t, &dispatch_cfg(seed), reg.clone());
+        let ref_out = run_single_stepped(&mut stepped);
+        let mut whole = Interp::new(&t, &dispatch_cfg(seed), reg);
+        let whole_out = whole.run(vec![]);
+        prop_assert_eq!(observe(&mut stepped, &ref_out), observe(&mut whole, &whole_out));
     }
 
     /// Pausing and resuming at arbitrary instruction boundaries cuts
-    /// hazard windows at arbitrary points; the parked interpreter state
-    /// (the whole snapshot, frames and registers included) and the
-    /// final outcome must match a plain engine paused at the very same
-    /// boundaries.
+    /// hazard windows at arbitrary points. At every cut, the parked
+    /// interpreter state (the whole snapshot, frames and registers
+    /// included) must match the single-stepped reference parked at the
+    /// same instruction boundary, and the final outcomes must match.
     #[test]
     fn pause_resume_cuts_are_invisible_to_the_threaded_engine(
         n in 2i64..14,
@@ -473,77 +479,86 @@ proptest! {
         let t = transform(&m, &DpmrConfig::sds())
             .map_err(|e| TestCaseError::fail(format!("{e}")))?;
         let reg = Rc::new(registry_with_wrappers());
-        let mut plain = Interp::new(&t, &dispatch_cfg(seed, true), reg.clone());
-        let mut thr = Interp::new(&t, &dispatch_cfg(seed, false), reg);
-        let mut plain_out = plain.run_steps(vec![], cuts[0]);
-        let mut thr_out = thr.run_steps(vec![], cuts[0]);
+        let mut stepped = Interp::new(&t, &dispatch_cfg(seed), reg.clone());
+        let mut cut = Interp::new(&t, &dispatch_cfg(seed), reg);
+        let mut ref_out = stepped.run_steps(vec![], 1);
+        let mut cut_out = cut.run_steps(vec![], cuts[0]);
         for c in &cuts[1..] {
-            prop_assert_eq!(plain_out.is_none(), thr_out.is_none());
-            if plain_out.is_some() {
+            if cut_out.is_some() {
                 break;
             }
-            // Parked mid-run state is a slow-loop instruction boundary
-            // on both engines: snapshots must capture identical bytes.
-            prop_assert_eq!(
-                format!("{:?}", plain.snapshot()),
-                format!("{:?}", thr.snapshot())
-            );
-            plain_out = plain.resume_steps(*c);
-            thr_out = thr.resume_steps(*c);
+            // Step the reference to the cut's instruction boundary; every
+            // top-level boundary is a single-step pause point.
+            let at = cut.snapshot();
+            let mut ref_snap = stepped.snapshot();
+            while ref_out.is_none() && ref_snap.instrs() < at.instrs() {
+                ref_out = stepped.resume_steps(1);
+                ref_snap = stepped.snapshot();
+            }
+            prop_assert!(ref_out.is_none(), "reference finished before the cut");
+            prop_assert_eq!(format!("{ref_snap:?}"), format!("{at:?}"));
+            cut_out = cut.resume_steps(*c);
         }
-        let plain_fin = match plain_out {
+        while ref_out.is_none() {
+            ref_out = stepped.resume_steps(1);
+        }
+        let ref_fin = ref_out.expect("the loop exits on completion");
+        let cut_fin = match cut_out {
             Some(out) => out,
-            None => plain.resume(),
+            None => cut.resume(),
         };
-        let thr_fin = match thr_out {
-            Some(out) => out,
-            None => thr.resume(),
-        };
-        prop_assert_eq!(observe(&mut plain, &plain_fin), observe(&mut thr, &thr_fin));
+        prop_assert_eq!(observe(&mut stepped, &ref_fin), observe(&mut cut, &cut_fin));
     }
 
     /// An armed runtime fault whose site pc lands in the middle of a
-    /// hazard window fires identically under both dispatchers: same
-    /// fault hits, same fire cycle, same detection evidence. (The
-    /// threaded engine compiles the armed-pc compare into the fast
-    /// loop via a const-generic instantiation; this is the test that
-    /// the instantiation is selected and wired correctly.)
+    /// hazard window fires exactly as it does one instruction per
+    /// window: same fault hits, same fire cycle, same detection
+    /// evidence, and the same cadence checkpoints. Sites are drawn the
+    /// way the runtime fault campaign (tabF.1) draws them, per fault
+    /// class; this is the test that the armed instantiation is selected
+    /// and wired correctly.
     #[test]
     fn armed_faults_fire_identically_mid_window(
         n in 2i64..14,
+        prog in 0usize..2,
         seed in 1u64..500,
         fault_idx in 0usize..7,
         site_sel in any::<u64>(),
         arm in 0u64..2_000,
+        cadence in 1u64..3_000,
     ) {
-        let m = micro::resize_victim(n, n);
+        let m = match prog {
+            0 => micro::resize_victim(n, n),
+            _ => micro::pointer_chase(n, 2),
+        };
         let t = transform(&m, &DpmrConfig::sds())
             .map_err(|e| TestCaseError::fail(format!("{e}")))?;
-        let code = lower(&t);
-        let sites: Vec<u32> = code
-            .ops
-            .iter()
-            .enumerate()
-            .filter(|(_, op)| matches!(op, Op::Load { .. } | Op::Store { .. }))
-            .map(|(pc, _)| pc as u32)
-            .collect();
-        prop_assert!(!sites.is_empty(), "workload has no load/store sites");
+        let class = FaultModel::paper_set()[fault_idx];
+        let sites = dpmr::fi::enumerate_op_sites(&lower(&t), class);
+        if sites.is_empty() {
+            // No eligible site: the campaign omits this (class, app) pair.
+            return Ok(());
+        }
         let fault = ArmedFault {
-            site: sites[(site_sel % sites.len() as u64) as usize],
-            fault: FaultModel::paper_set()[fault_idx],
+            site: sites[(site_sel % sites.len() as u64) as usize].pc,
+            fault: class,
             seed: seed ^ 0x00ff_00ff,
             arm_cycle: arm,
         };
+        let mut cfg = dispatch_cfg(seed);
+        cfg.fault = Some(fault);
         let reg = Rc::new(registry_with_wrappers());
-        let mut cfg_p = dispatch_cfg(seed, true);
-        cfg_p.fault = Some(fault);
-        let mut cfg_t = dispatch_cfg(seed, false);
-        cfg_t.fault = Some(fault);
-        let mut plain = Interp::new(&t, &cfg_p, reg.clone());
-        let ref_out = plain.run(vec![]);
-        let mut thr = Interp::new(&t, &cfg_t, reg);
-        let thr_out = thr.run(vec![]);
-        prop_assert_eq!(observe(&mut plain, &ref_out), observe(&mut thr, &thr_out));
+        let mut stepped = Interp::new(&t, &cfg, reg.clone());
+        stepped.set_checkpoint_cadence(Some(cadence));
+        let ref_out = run_single_stepped(&mut stepped);
+        let mut whole = Interp::new(&t, &cfg, reg);
+        whole.set_checkpoint_cadence(Some(cadence));
+        let whole_out = whole.run(vec![]);
+        prop_assert_eq!(observe(&mut stepped, &ref_out), observe(&mut whole, &whole_out));
+        prop_assert_eq!(
+            format!("{:?}", stepped.take_auto_checkpoints()),
+            format!("{:?}", whole.take_auto_checkpoints())
+        );
     }
 }
 
