@@ -341,9 +341,9 @@ fn register_wrappers(r: &mut Registry) {
         let c = vint(args, 3 + k)? as u8;
         let n = u64::try_from(vint(args, 4 + k)?.max(0)).unwrap_or(0);
         it.charge(n / 4 + 2);
-        it.mem.write(dest, &vec![c; n as usize])?;
+        it.mem.fill(dest, n as usize, c)?;
         for &d_r in &dest_r {
-            it.mem.write(d_r, &vec![c; n as usize])?;
+            it.mem.fill(d_r, n as usize, c)?;
         }
         store_rv_sop(it, rv_sop, &dest_r, dest_s)?;
         Ok(Some(Value::Ptr(dest)))
@@ -356,9 +356,9 @@ fn register_wrappers(r: &mut Registry) {
         let c = vint(args, 2 + k)? as u8;
         let n = u64::try_from(vint(args, 3 + k)?.max(0)).unwrap_or(0);
         it.charge(n / 4 + 2);
-        it.mem.write(dest, &vec![c; n as usize])?;
+        it.mem.fill(dest, n as usize, c)?;
         for &d_r in &dest_r {
-            it.mem.write(d_r, &vec![c; n as usize])?;
+            it.mem.fill(d_r, n as usize, c)?;
         }
         store_rv_rops(it, rv_rop_ptr, &dest_r)?;
         Ok(Some(Value::Ptr(dest)))

@@ -156,6 +156,43 @@ fn memset_clears_app_and_replica() {
 }
 
 #[test]
+fn memset_wrappers_fault_on_a_guest_sized_length() {
+    // memset(p, 0, 2^62) on a 16-byte block: both schemes' wrappers must
+    // check the destination range before setting (or allocating) any
+    // byte, ending the run in a memory fault.
+    let mut m = Module::new();
+    let i64t = m.types.int(64);
+    let i8t = m.types.int(8);
+    let vp = m.types.void_ptr();
+    let memset_ty = m.types.function(vp, vec![vp, i64t, i64t]);
+    let memset = m.declare_external("memset", memset_ty);
+
+    let mut b = FunctionBuilder::new(&mut m, "main", i64t, &[]);
+    let buf = b.malloc(i8t, Const::i64(16).into(), "buf");
+    let bv = b.cast(CastOp::Bitcast, vp, buf.into(), "bv");
+    b.call(
+        Callee::External(memset),
+        vec![bv.into(), Const::i64(0).into(), Const::i64(1 << 62).into()],
+        Some(vp),
+        "",
+    );
+    b.ret(Some(Const::i64(0).into()));
+    let f = b.finish();
+    m.entry = Some(f);
+
+    for cfg in [DpmrConfig::sds(), DpmrConfig::mds()] {
+        let t = transform(&m, &cfg).expect("transform");
+        let out = run_with_registry(&t, &RunConfig::default(), Rc::new(registry_with_wrappers()));
+        assert!(
+            matches!(out.status, ExitStatus::Crash(CrashKind::MemFault(_))),
+            "{}: {:?}",
+            cfg.name(),
+            out.status
+        );
+    }
+}
+
+#[test]
 fn strlen_and_atoi_roundtrip_under_wrappers() {
     let m = dpmr_workloads::micro::string_play();
     let golden = run_with_limits(&m, &RunConfig::default());

@@ -1,11 +1,11 @@
-//! Experiment execution: variant builds (Sec. 3.5), experiment
-//! descriptors `(W, C, D, I, RN)` (Sec. 3.6), and the per-run measurement
-//! components of Table 3.2.
+//! Prepared applications and per-run measurements: an app's golden
+//! build and run, the seeds of run number `RN` (Sec. 3.6), and the
+//! reduction of a raw outcome to the measurement components of Table
+//! 3.2. Trials themselves run through the executor of [`crate::trial`].
 
-use dpmr_core::prelude::*;
-use dpmr_fi::{enumerate_heap_alloc_sites, inject, may_manifest, FaultType, InjectionSite};
+use dpmr_fi::{enumerate_heap_alloc_sites, may_manifest, FaultType, InjectionSite};
 use dpmr_ir::module::Module;
-use dpmr_recovery::{RecoveryDriver, RecoveryOutcome};
+use dpmr_recovery::RecoveryOutcome;
 use dpmr_vm::prelude::*;
 use dpmr_workloads::{AppSpec, WorkloadParams};
 use std::rc::Rc;
@@ -13,44 +13,6 @@ use std::rc::Rc;
 /// Simulated CPU frequency used to convert virtual cycles to the paper's
 /// millisecond units (the testbed's 2 GHz Athlon, Table 3.1).
 pub const CYCLES_PER_MSEC: f64 = 2.0e6;
-
-/// The four variant classes of Sec. 3.5 / Fig. 3.5.
-#[derive(Debug, Clone)]
-pub enum Variant {
-    /// `golden`: the unmodified application.
-    Golden,
-    /// `fi-stdapp`: fault-injection build without DPMR.
-    FiStdapp,
-    /// `nofi-dpmr`: DPMR build without fault injection (overhead runs).
-    NofiDpmr(DpmrConfig),
-    /// `fi-dpmr`: fault-injection + DPMR build.
-    FiDpmr(DpmrConfig),
-}
-
-impl Variant {
-    /// Display name.
-    pub fn name(&self) -> String {
-        match self {
-            Variant::Golden => "golden".into(),
-            Variant::FiStdapp => "stdapp".into(),
-            Variant::NofiDpmr(c) | Variant::FiDpmr(c) => c.name(),
-        }
-    }
-}
-
-/// One experiment's identity: workload, comparison policy + diversity
-/// (inside the DPMR config), injection, run number.
-#[derive(Debug, Clone)]
-pub struct Experiment {
-    /// Application under test.
-    pub app: &'static str,
-    /// Variant (carries C and D).
-    pub variant: Variant,
-    /// Injected fault, if any (I).
-    pub fault: Option<(InjectionSite, FaultType)>,
-    /// Run number (RN) — seeds the VM.
-    pub run: u32,
-}
 
 /// Raw per-run measurements (Table 3.2's random variables).
 #[derive(Debug, Clone)]
@@ -98,7 +60,8 @@ pub struct RecoveryMeasurement {
 }
 
 /// One fully instrumented run: the raw outcome plus everything the
-/// telemetry layer collected (see [`PreparedApp::run_instrumented`]).
+/// telemetry layer collected (an instrumented leg of
+/// [`crate::trial::Legs`]).
 pub struct InstrumentedRun {
     /// Raw run outcome.
     pub out: RunOutcome,
@@ -127,18 +90,6 @@ pub struct PreparedApp {
     pub sites: Vec<InjectionSite>,
     /// Workload parameters used.
     pub params: WorkloadParams,
-}
-
-/// Lowers a transformed module and runs the configured optimizing
-/// passes over the bytecode. With `cfg.passes` all-off (the default)
-/// this is exactly [`dpmr_vm::lower::lower`], byte for byte.
-pub fn lower_with_passes(module: &Module, cfg: &DpmrConfig) -> LoweredCode {
-    let code = dpmr_vm::lower::lower(module);
-    if cfg.passes.is_noop() {
-        code
-    } else {
-        dpmr_vm::opt::optimize(&code, &cfg.passes).code
-    }
 }
 
 /// Builds and measures the golden variant of an application.
@@ -193,7 +144,9 @@ impl PreparedApp {
         self.golden.instrs.saturating_mul(20).max(1_000_000)
     }
 
-    fn run_config(&self, run: u32) -> RunConfig {
+    /// Run configuration of run number `run`: the budget, plus a VM seed
+    /// and garbage-fill seed derived from the run number.
+    pub(crate) fn run_config(&self, run: u32) -> RunConfig {
         let mut rc = RunConfig {
             max_instrs: self.budget(),
             seed: u64::from(run) + 1,
@@ -201,47 +154,6 @@ impl PreparedApp {
         };
         rc.mem.fill_seed = (u64::from(run) + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15);
         rc
-    }
-
-    /// Executes one experiment and reduces it to a [`Measurement`].
-    pub fn run(&self, exp: &Experiment) -> Measurement {
-        let faulty;
-        let base: &Module = match &exp.fault {
-            Some((site, fault)) => {
-                faulty = inject(&self.module, site, *fault);
-                &faulty
-            }
-            None => &self.module,
-        };
-        let transformed;
-        let (module, registry): (&Module, Rc<Registry>) = match &exp.variant {
-            Variant::Golden | Variant::FiStdapp => (base, Rc::new(Registry::with_base())),
-            Variant::NofiDpmr(cfg) | Variant::FiDpmr(cfg) => {
-                transformed = transform(base, cfg).expect("transform");
-                (&transformed, Rc::new(registry_with_wrappers()))
-            }
-        };
-        let rc = self.run_config(exp.run);
-        let out = run_with_registry(module, &rc, registry);
-        self.measure(&out)
-    }
-
-    /// Runs an already injected/transformed module with shared
-    /// pre-lowered bytecode (`code` must have been lowered from `module`)
-    /// under `registry`, using run `run`'s seeds, and reduces it against
-    /// the golden reference. Campaigns use this to hoist injection,
-    /// transformation, and lowering out of their per-run loops.
-    pub fn run_built(
-        &self,
-        module: &Module,
-        code: Rc<LoweredCode>,
-        registry: Rc<Registry>,
-        run: u32,
-    ) -> Measurement {
-        let rc = self.run_config(run);
-        let mut interp = Interp::with_code(module, code, &rc, registry);
-        let out = interp.run(rc.args.clone());
-        self.measure(&out)
     }
 
     /// Reduces a raw run outcome against the golden reference.
@@ -267,68 +179,6 @@ impl PreparedApp {
         }
     }
 
-    /// Injects `fault` at `site` and applies the DPMR transformation —
-    /// the expensive, policy-independent half of a recovery experiment.
-    /// Campaigns hoist this out of their per-(policy, run) loops.
-    pub fn prepare_recovery(
-        &self,
-        site: &InjectionSite,
-        fault: FaultType,
-        cfg: &DpmrConfig,
-    ) -> Module {
-        let faulty = inject(&self.module, site, fault);
-        transform(&faulty, cfg).expect("transform")
-    }
-
-    /// Executes one *recovery* experiment: injects `fault` at `site`,
-    /// transforms with `cfg`, and runs under `rec` through the
-    /// [`RecoveryDriver`], reducing against the golden reference.
-    pub fn run_recovery(
-        &self,
-        site: &InjectionSite,
-        fault: FaultType,
-        cfg: &DpmrConfig,
-        rec: RecoveryConfig,
-        run: u32,
-    ) -> RecoveryMeasurement {
-        let transformed = self.prepare_recovery(site, fault, cfg);
-        let code = Rc::new(lower_with_passes(&transformed, cfg));
-        let registry = Rc::new(registry_with_wrappers());
-        self.run_recovery_lowered(&transformed, code, registry, rec, run)
-    }
-
-    /// Runs a recovery experiment on an already injected-and-transformed
-    /// module (see [`PreparedApp::prepare_recovery`]), lowering it to
-    /// bytecode for this run only. Campaigns that replay one transformed
-    /// module across policies and seeds should lower once and use
-    /// [`PreparedApp::run_recovery_lowered`].
-    pub fn run_recovery_prepared(
-        &self,
-        transformed: &Module,
-        rec: RecoveryConfig,
-        run: u32,
-    ) -> RecoveryMeasurement {
-        let code = Rc::new(dpmr_vm::lower::lower(transformed));
-        let registry = Rc::new(registry_with_wrappers());
-        self.run_recovery_lowered(transformed, code, registry, rec, run)
-    }
-
-    /// Runs a recovery experiment on an already injected-and-transformed
-    /// module with shared pre-lowered bytecode (`code` must have been
-    /// lowered from `transformed`) and a shared wrapper registry.
-    pub fn run_recovery_lowered(
-        &self,
-        transformed: &Module,
-        code: Rc<LoweredCode>,
-        registry: Rc<Registry>,
-        rec: RecoveryConfig,
-        run: u32,
-    ) -> RecoveryMeasurement {
-        let rc = self.run_config(run);
-        let driver = RecoveryDriver::with_code(transformed, code, registry, rc, rec);
-        self.measure_recovery(driver.run())
-    }
-
     /// Reduces a raw recovery outcome against the golden reference.
     pub fn measure_recovery(&self, out: RecoveryOutcome) -> RecoveryMeasurement {
         let correct = matches!(out.last.status, ExitStatus::Normal(0))
@@ -343,86 +193,6 @@ impl PreparedApp {
             t2r: out.time_to_recovery,
         }
     }
-
-    /// Executes one *runtime-fault* trial: runs `module` (shared lowered
-    /// `code`, shared `registry`) with `fault` armed in the run
-    /// configuration — the Mem/Interp-boundary injection hook — using run
-    /// `run`'s seeds, and reduces against the golden reference. The armed
-    /// triple makes the trial exactly replayable.
-    pub fn run_armed(
-        &self,
-        module: &Module,
-        code: Rc<LoweredCode>,
-        registry: Rc<Registry>,
-        fault: ArmedFault,
-        run: u32,
-    ) -> Measurement {
-        let mut rc = self.run_config(run);
-        rc.fault = Some(fault);
-        let mut interp = Interp::with_code(module, code, &rc, registry);
-        let out = interp.run(rc.args.clone());
-        self.measure(&out)
-    }
-
-    /// Like [`PreparedApp::run_armed`] but executing under a recovery
-    /// policy: the armed fault rides the run configuration into the
-    /// [`RecoveryDriver`], so repairs and checkpoint replays face the
-    /// same deterministic corruption the detection trial saw.
-    pub fn run_armed_recovery(
-        &self,
-        module: &Module,
-        code: Rc<LoweredCode>,
-        registry: Rc<Registry>,
-        fault: ArmedFault,
-        rec: RecoveryConfig,
-        run: u32,
-    ) -> RecoveryMeasurement {
-        let mut rc = self.run_config(run);
-        rc.fault = Some(fault);
-        let driver = RecoveryDriver::with_code(module, code, registry, rc, rec);
-        self.measure_recovery(driver.run())
-    }
-
-    /// Executes one run with **full telemetry** enabled: the per-site and
-    /// per-pc profiles plus the event trace of [`dpmr_vm::telemetry`],
-    /// alongside the raw outcome and the region footprint. Clean profile
-    /// runs (`fault: None`) feed the hot/cold columns of `profS.1`; armed
-    /// runs feed its detection-usefulness columns and the trace sink.
-    pub fn run_instrumented(
-        &self,
-        module: &Module,
-        code: Rc<LoweredCode>,
-        registry: Rc<Registry>,
-        fault: Option<ArmedFault>,
-        run: u32,
-    ) -> InstrumentedRun {
-        let mut rc = self.run_config(run);
-        rc.fault = fault;
-        rc.telemetry = TelemetryConfig::full();
-        let mut interp = Interp::with_code(module, code, &rc, registry);
-        let out = interp.run(rc.args.clone());
-        let mem = interp.mem.usage();
-        let telemetry = interp.take_telemetry();
-        InstrumentedRun {
-            out,
-            telemetry,
-            mem,
-            seed: rc.seed,
-        }
-    }
-
-    /// Overhead of a DPMR configuration: mean execution time of the
-    /// transformed, non-faulty build divided by the golden time (Eq. 3.1).
-    pub fn overhead(&self, cfg: &DpmrConfig) -> f64 {
-        let exp = Experiment {
-            app: self.app.name,
-            variant: Variant::NofiDpmr(cfg.clone()),
-            fault: None,
-            run: 0,
-        };
-        let m = self.run(&exp);
-        m.cycles as f64 / self.golden.cycles as f64
-    }
 }
 
 #[cfg(test)]
@@ -436,30 +206,5 @@ mod tests {
         let p = prepare(app, &WorkloadParams::quick());
         assert!(!p.sites.is_empty(), "bzip2 has heap allocation sites");
         assert!(p.budget() > p.golden.instrs);
-    }
-
-    #[test]
-    fn overhead_is_above_one_under_dpmr() {
-        let app = app_by_name("art").expect("art");
-        let p = prepare(app, &WorkloadParams::quick());
-        let o = p.overhead(&DpmrConfig::sds().with_diversity(Diversity::None));
-        assert!(o > 1.2, "DPMR must cost something, got {o}");
-        assert!(o < 20.0, "DPMR overhead out of range, got {o}");
-    }
-
-    #[test]
-    fn fault_injection_experiment_measures() {
-        let app = app_by_name("mcf").expect("mcf");
-        let p = prepare(app, &WorkloadParams::quick());
-        let sites = p.manifest_sites(FaultType::ImmediateFree);
-        assert!(!sites.is_empty());
-        let exp = Experiment {
-            app: "mcf",
-            variant: Variant::FiStdapp,
-            fault: Some((sites[0], FaultType::ImmediateFree)),
-            run: 0,
-        };
-        let m = p.run(&exp);
-        assert!(m.sf, "the first mcf allocation site always executes");
     }
 }

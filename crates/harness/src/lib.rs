@@ -23,6 +23,7 @@ pub mod experiment;
 pub mod figures;
 pub mod metrics;
 pub mod sched;
+pub mod trial;
 
 use dpmr_core::prelude::*;
 use metrics::{
@@ -393,7 +394,7 @@ pub fn reproduce(ids: &BTreeSet<String>, cc: &CampaignConfig) -> String {
                     "rearrange-heap".into(),
                     "pad-malloc 32".into(),
                 ];
-                let sds_snapshot = clone_overheads(studies.sds_div(cc));
+                let sds_snapshot = studies.sds_div(cc).clone();
                 let mds = studies.mds_div(cc);
                 figures::side_by_side_overhead(
                     "Figure 4.3: Side-by-side diversity transformation overheads of SDS and MDS",
@@ -409,7 +410,7 @@ pub fn reproduce(ids: &BTreeSet<String>, cc: &CampaignConfig) -> String {
                     "static 90%".into(),
                     "all loads".into(),
                 ];
-                let sds_snapshot = clone_overheads(studies.sds_pol(cc));
+                let sds_snapshot = studies.sds_pol(cc).clone();
                 let mds = studies.mds_pol(cc);
                 figures::side_by_side_overhead(
                     "Figure 4.4: Side-by-side comparison policy overheads of SDS and MDS",
@@ -504,17 +505,6 @@ pub fn reproduce(ids: &BTreeSet<String>, cc: &CampaignConfig) -> String {
         let _ = writeln!(out, "{text}");
     }
     out
-}
-
-fn clone_overheads(src: &StudyResults) -> StudyResults {
-    StudyResults {
-        variants: src.variants.clone(),
-        apps: src.apps.clone(),
-        coverage: src.coverage.clone(),
-        conditional: src.conditional.clone(),
-        overhead: src.overhead.clone(),
-        experiments: src.experiments,
-    }
 }
 
 /// Chapter 5 demonstration: DS graphs and `markX` over a program with

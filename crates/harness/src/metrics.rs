@@ -2,11 +2,10 @@
 //! overhead, and detection latency, computed from fault-injection
 //! campaigns across variant builds.
 
-use crate::experiment::{prepare, Measurement, PreparedApp, RecoveryMeasurement, CYCLES_PER_MSEC};
+use crate::experiment::{Measurement, RecoveryMeasurement, CYCLES_PER_MSEC};
+use crate::trial::{Legs, Plan, Target, TrialRecord, Unit};
 use dpmr_core::prelude::*;
-use dpmr_fi::{ArmedFault, FaultModel, FaultType, OpSite};
-use dpmr_ir::module::Module;
-use dpmr_vm::code::LoweredCode;
+use dpmr_fi::FaultModel;
 use dpmr_workloads::{AppSpec, WorkloadParams};
 use std::collections::BTreeMap;
 
@@ -86,7 +85,7 @@ impl CovAgg {
 
 /// One study: a list of named variants measured over all apps and both
 /// fault types, with conditional aggregates and overheads.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct StudyResults {
     /// Variant display names, in presentation order.
     pub variants: Vec<String>,
@@ -147,24 +146,6 @@ impl CampaignConfig {
     }
 }
 
-/// One parallel unit of a coverage study: every run of every variant at a
-/// single injection site. Sites are independent; the stdapp→variant
-/// dependency (`StdNotAllDet`) is *within* a unit, so fan-out never
-/// reorders it.
-struct SiteUnit {
-    app_idx: usize,
-    fault: FaultType,
-    site: dpmr_fi::InjectionSite,
-}
-
-/// Measurements produced by one [`SiteUnit`], in the serial campaign's
-/// recording order.
-struct SiteOutcome {
-    std_measurements: Vec<Measurement>,
-    std_not_all_det: bool,
-    variant_measurements: Vec<Vec<Measurement>>,
-}
-
 /// Runs a fault-injection study over `apps` × `variants` × both fault
 /// types, fanning trials across `cc.workers` threads. The stdapp variant
 /// is always included first (it defines `StdNotAllDet` and the
@@ -182,101 +163,54 @@ pub fn run_study(
         apps: apps.iter().map(|a| a.name.to_string()).collect(),
         ..StudyResults::default()
     };
-    // Phase 1: prepare every app (module build + golden run) in parallel.
-    let prepared: Vec<PreparedApp> =
-        crate::sched::run_indexed(apps, cc.workers, |a| prepare(*a, &cc.params));
+    let mut plan = Plan::new("coverage", apps, cc).with_builds(|_| variants.to_vec());
 
-    // Phase 2: overheads (non-faulty runs), one unit per (app, variant).
-    let oh_units: Vec<(usize, usize)> = (0..prepared.len())
-        .flat_map(|ai| (0..variants.len()).map(move |vi| (ai, vi)))
+    res.experiments += record_overheads(&plan, &mut res.overhead);
+
+    // Fault-injection trials: one unit per allocation site, running
+    // stdapp and then every variant on the injected module.
+    plan.variants = std::iter::once(("stdapp".to_string(), None))
+        .chain(variants.iter().map(|(n, c)| (n.clone(), Some(c.clone()))))
         .collect();
-    let overheads = crate::sched::run_indexed(&oh_units, cc.workers, |&(ai, vi)| {
-        prepared[ai].overhead(&variants[vi].1)
-    });
-    for (&(ai, vi), o) in oh_units.iter().zip(overheads) {
-        res.overhead
-            .insert((variants[vi].0.clone(), apps[ai].name.to_string()), o);
-        res.experiments += 1;
-    }
-
-    // Phase 3: fault-injection trials, one unit per injection site.
-    let mut units = Vec::new();
-    for (app_idx, p) in prepared.iter().enumerate() {
-        for fault in FaultType::paper_set() {
-            let mut sites = p.manifest_sites(fault);
-            if let Some(cap) = cc.max_sites {
-                sites.truncate(cap);
-            }
-            units.extend(sites.into_iter().map(|site| SiteUnit {
-                app_idx,
-                fault,
-                site,
-            }));
-        }
-    }
-    let outcomes = crate::sched::run_indexed(&units, cc.workers, |u| {
-        run_site_unit(u, &prepared[u.app_idx], variants, cc)
-    });
-    for (u, oc) in units.iter().zip(outcomes) {
-        let app = apps[u.app_idx].name;
-        let fault = u.fault.name();
-        res.experiments += (oc.std_measurements.len()
-            + oc.variant_measurements.iter().map(Vec::len).sum::<usize>())
-            as u64;
-        record(
-            &mut res,
-            "stdapp",
-            app,
-            &fault,
-            &oc.std_measurements,
-            oc.std_not_all_det,
-        );
-        for ((vname, _), ms) in variants.iter().zip(&oc.variant_measurements) {
-            record(&mut res, vname, app, &fault, ms, oc.std_not_all_det);
+    let units = plan.injected(Legs::Detect);
+    for (u, records) in units.iter().zip(plan.execute(&units)) {
+        res.experiments += records.len() as u64;
+        let of = |v: usize| -> Vec<&Measurement> {
+            (records.iter().filter(|r| r.build == v))
+                .filter_map(|r| r.detect.as_ref())
+                .collect()
+        };
+        // StdNotAllDet (Eq. 3.3) is a property of the site's stdapp
+        // runs — some successful injection ended in neither correct
+        // output nor a natural detection — and conditions every
+        // variant's aggregate at the site.
+        let std_not_all_det = of(0).iter().any(|m| m.sf && !m.co && !m.ndet);
+        for (v, (name, _)) in plan.variants.iter().enumerate() {
+            let app = apps[u.app].name;
+            record(&mut res, name, app, &u.class, &of(v), std_not_all_det);
         }
     }
     res
 }
 
-fn run_site_unit(
-    u: &SiteUnit,
-    p: &PreparedApp,
-    variants: &[(String, DpmrConfig)],
-    cc: &CampaignConfig,
-) -> SiteOutcome {
-    use std::rc::Rc;
-    // Injection depends only on (site, fault), each variant's transform +
-    // bytecode lowering only on the injected module, and the external
-    // registries on nothing at all: build each once, not once per run.
-    let faulty = dpmr_fi::inject(&p.module, &u.site, u.fault);
-    let faulty_code = Rc::new(dpmr_vm::lower::lower(&faulty));
-    let base_reg = Rc::new(dpmr_vm::external::Registry::with_base());
-    let wrap_reg = Rc::new(registry_with_wrappers());
-    // stdapp first: establishes StdNotAllDet for this site.
-    let mut std_not_all_det = false;
-    let mut std_measurements = Vec::new();
-    for run in 0..cc.runs {
-        let m = p.run_built(&faulty, Rc::clone(&faulty_code), Rc::clone(&base_reg), run);
-        if m.sf && !m.co && !m.ndet {
-            std_not_all_det = true;
-        }
-        std_measurements.push(m);
-    }
-    let variant_measurements = variants
-        .iter()
-        .map(|(_, cfg)| {
-            let transformed = transform(&faulty, cfg).expect("transform");
-            let code = Rc::new(crate::experiment::lower_with_passes(&transformed, cfg));
-            (0..cc.runs)
-                .map(|run| p.run_built(&transformed, Rc::clone(&code), Rc::clone(&wrap_reg), run))
-                .collect()
-        })
+/// Runs one clean trial of every shared build of `plan` and records its
+/// overhead (Eq. 3.1: transformed cycles over golden cycles) per (build
+/// name, app) in `overhead`. Returns the trials run.
+fn record_overheads(plan: &Plan, overhead: &mut BTreeMap<(String, String), f64>) -> u64 {
+    let units: Vec<Unit> = (0..plan.builds.len())
+        .map(|b| plan.clean(b, Legs::Detect))
         .collect();
-    SiteOutcome {
-        std_measurements,
-        std_not_all_det,
-        variant_measurements,
+    let mut n = 0;
+    for (u, records) in units.iter().zip(plan.execute(&units)) {
+        let p = &plan.prepared[u.app];
+        for r in &records {
+            let m = r.detect.as_ref().expect("a detection leg");
+            let key = (plan.builds[r.build].name.clone(), p.app.name.to_string());
+            overhead.insert(key, m.cycles as f64 / p.golden.cycles as f64);
+            n += 1;
+        }
     }
+    n
 }
 
 /// The diversity study (Figs. 3.6–3.10 / 4.5, 4.7–4.10): all seven
@@ -297,7 +231,7 @@ fn record(
     variant: &str,
     app: &str,
     fault: &str,
-    ms: &[Measurement],
+    ms: &[&Measurement],
     std_not_all_det: bool,
 ) {
     let key = (variant.to_string(), app.to_string(), fault.to_string());
@@ -422,70 +356,28 @@ pub fn run_recovery_study(
     base: &DpmrConfig,
     cc: &CampaignConfig,
 ) -> RecoveryStudyResults {
-    let configs = RecoveryConfig::paper_set();
+    let mut plan = Plan::new("recovery", apps, cc);
+    plan.variants = vec![(base.name(), Some(base.clone()))];
+    plan.policies = RecoveryConfig::paper_set();
     let mut res = RecoveryStudyResults {
-        policies: configs.iter().map(RecoveryConfig::name).collect(),
+        policies: plan.policies.iter().map(RecoveryConfig::name).collect(),
         apps: apps.iter().map(|a| a.name.to_string()).collect(),
         ..RecoveryStudyResults::default()
     };
-    let prepared: Vec<PreparedApp> =
-        crate::sched::run_indexed(apps, cc.workers, |a| prepare(*a, &cc.params));
-    let mut units = Vec::new();
-    for (app_idx, p) in prepared.iter().enumerate() {
-        for fault in FaultType::paper_set() {
-            let mut sites = p.manifest_sites(fault);
-            if let Some(cap) = cc.max_sites {
-                sites.truncate(cap);
-            }
-            units.extend(sites.into_iter().map(|site| SiteUnit {
-                app_idx,
-                fault,
-                site,
-            }));
-        }
-    }
-    let outcomes = crate::sched::run_indexed(&units, cc.workers, |u| {
-        run_recovery_site_unit(u, &prepared[u.app_idx], base, &configs, cc)
-    });
-    for (u, ms) in units.iter().zip(outcomes) {
-        for (rec_name, m) in ms {
+    let units = plan.injected(Legs::Recover);
+    for (u, records) in units.iter().zip(plan.execute(&units)) {
+        for r in &records {
             res.experiments += 1;
-            res.agg
-                .entry((rec_name, apps[u.app_idx].name.to_string(), u.fault.name()))
-                .or_default()
-                .add(&m);
+            let key = (
+                res.policies[r.policy].clone(),
+                apps[u.app].name.to_string(),
+                u.class.clone(),
+            );
+            let m = r.recovery.as_ref().expect("a recovery leg");
+            res.agg.entry(key).or_default().add(m);
         }
     }
     res
-}
-
-fn run_recovery_site_unit(
-    u: &SiteUnit,
-    p: &PreparedApp,
-    base: &DpmrConfig,
-    configs: &[RecoveryConfig],
-    cc: &CampaignConfig,
-) -> Vec<(String, RecoveryMeasurement)> {
-    // Injection, transformation, bytecode lowering, and the wrapper
-    // registry depend only on (site, fault, base): build them once, not
-    // once per (config, run).
-    let transformed = p.prepare_recovery(&u.site, u.fault, base);
-    let code = std::rc::Rc::new(crate::experiment::lower_with_passes(&transformed, base));
-    let registry = std::rc::Rc::new(registry_with_wrappers());
-    let mut out = Vec::new();
-    for rec in configs {
-        for run in 0..cc.runs {
-            let m = p.run_recovery_lowered(
-                &transformed,
-                std::rc::Rc::clone(&code),
-                std::rc::Rc::clone(&registry),
-                *rec,
-                run,
-            );
-            out.push((rec.name(), m));
-        }
-    }
-    out
 }
 
 /// Default cap on armed sites per (app, fault class) when the campaign
@@ -495,9 +387,6 @@ fn run_recovery_site_unit(
 /// Sampling is even-strided across the stream (see
 /// [`dpmr_fi::sample_sites`]).
 pub const FAULT_SITES_PER_CLASS: usize = 6;
-
-/// Repair budget of the campaign's recovery leg.
-const CAMPAIGN_REPAIR_BUDGET: u64 = 4096;
 
 /// Accumulator for one (fault class, app) population of the runtime
 /// fault campaign (Table F.1). All rate denominators are *fired* trials
@@ -566,6 +455,18 @@ impl FaultClassAgg {
         if wrong_repair {
             self.wrong_repairs += 1;
         }
+    }
+
+    /// Adds a trial of [`Legs::DetectRecover`] and returns the legs it
+    /// ran.
+    fn add_trial(&mut self, r: &TrialRecord) -> u64 {
+        let rec = r.recovery.as_ref();
+        self.add(
+            r.detect.as_ref().expect("a detection leg"),
+            rec.is_some_and(|x| x.recovered_correct),
+            rec.is_some_and(|x| x.survived_wrong),
+        );
+        1 + u64::from(rec.is_some())
     }
 
     fn frac(&self, num: u32) -> f64 {
@@ -655,22 +556,6 @@ pub struct FaultCampaignResults {
     pub experiments: u64,
 }
 
-/// One parallel unit of the fault campaign: every trial of one fault
-/// class armed at one op site of one app's transformed build.
-struct FaultUnit {
-    app_idx: usize,
-    class: FaultModel,
-    site: OpSite,
-}
-
-/// One trial's reduced outcome.
-struct FaultTrial {
-    m: Measurement,
-    recovered: bool,
-    wrong_repair: bool,
-    ran_recovery: bool,
-}
-
 /// Runs the runtime fault-injection campaign: every class of
 /// [`FaultModel::paper_set`] armed across an even sample of its eligible
 /// load/store sites in each app's DPMR-transformed build, with
@@ -694,171 +579,58 @@ pub fn run_fault_campaign(
         apps: apps.iter().map(|a| a.name.to_string()).collect(),
         ..FaultCampaignResults::default()
     };
-    let prepared: Vec<PreparedApp> =
-        crate::sched::run_indexed(apps, cc.workers, |a| prepare(*a, &cc.params));
-    // Transformation and lowering depend only on (app, base): build each
-    // once, in parallel (stored plain so the results stay `Send`; units
-    // clone the bytecode into their own `Rc`). The K = 2 builds back the
-    // replica-region differential.
-    let built: Vec<(Module, LoweredCode)> = crate::sched::run_indexed(&prepared, cc.workers, |p| {
-        let t = transform(&p.module, base).expect("transform");
-        let code = crate::experiment::lower_with_passes(&t, base);
-        (t, code)
-    });
+    // The K = 2 builds back the replica-region differential.
     let base_k2 = base.clone().with_replicas(2);
-    let built_k2: Vec<(Module, LoweredCode)> =
-        crate::sched::run_indexed(&prepared, cc.workers, |p| {
-            let t = transform(&p.module, &base_k2).expect("transform");
-            let code = crate::experiment::lower_with_passes(&t, &base_k2);
-            (t, code)
-        });
-    let cap = cc.max_sites.unwrap_or(FAULT_SITES_PER_CLASS);
+    let plan = Plan::new("fault", apps, cc).with_builds(|_| {
+        vec![
+            (base.name(), base.clone()),
+            (base_k2.name(), base_k2.clone()),
+        ]
+    });
+    let cap = plan.op_cap();
     let mut units = Vec::new();
-    for (app_idx, (_, code)) in built.iter().enumerate() {
+    for ai in 0..apps.len() {
         for class in &classes {
-            let sites = dpmr_fi::enumerate_op_sites(code, *class);
-            units.extend(
-                dpmr_fi::sample_sites(&sites, cap)
-                    .into_iter()
-                    .map(|site| FaultUnit {
-                        app_idx,
-                        class: *class,
-                        site,
-                    }),
-            );
+            let b = plan.build_index(ai, 0);
+            units.extend(plan.armed(b, &class.name(), Some(*class), cap, Legs::DetectRecover));
         }
     }
-    let outcomes = crate::sched::run_indexed(&units, cc.workers, |u| {
-        run_fault_unit(u, &prepared[u.app_idx], &built[u.app_idx], base, 1, cc)
-    });
-    for (u, trials) in units.iter().zip(outcomes) {
-        let key = (u.class.name(), apps[u.app_idx].name.to_string());
+    for (u, records) in units.iter().zip(plan.execute(&units)) {
+        let key = (u.class.clone(), apps[u.app].name.to_string());
         let agg = res.agg.entry(key).or_default();
-        for t in trials {
-            res.experiments += 1 + u64::from(t.ran_recovery);
-            agg.add(&t.m, t.recovered, t.wrong_repair);
+        for r in &records {
+            res.experiments += agg.add_trial(r);
         }
     }
     // Replica-region bit-flips: arm each build's own replica-access
     // sites (the replica surface differs between K = 1 and K = 2 builds)
     // and compare the recovery verdicts — K = 1 repair-from-replica vs
     // K = 2 vote-and-repair.
-    let heap_flip = FaultModel::BitFlip {
-        region: dpmr_fi::MemRegion::Heap,
-    };
     let mut rep_units = Vec::new();
-    for (app_idx, ((_, code1), (_, code2))) in built.iter().zip(&built_k2).enumerate() {
-        for (degree, code) in [(1usize, code1), (2usize, code2)] {
-            let sites = dpmr_fi::enumerate_replica_sites(code);
-            rep_units.extend(dpmr_fi::sample_sites(&sites, cap).into_iter().map(|site| {
-                (
-                    FaultUnit {
-                        app_idx,
-                        class: heap_flip,
-                        site,
-                    },
-                    degree,
-                )
-            }));
+    for ai in 0..apps.len() {
+        for k in 0..2 {
+            let b = plan.build_index(ai, k);
+            rep_units.extend(plan.armed(b, REPLICA_CLASS, None, cap, Legs::DetectRecover));
         }
     }
-    let rep_outcomes = crate::sched::run_indexed(&rep_units, cc.workers, |(u, degree)| {
-        let b = if *degree == 1 {
-            &built[u.app_idx]
-        } else {
-            &built_k2[u.app_idx]
-        };
-        run_fault_unit(u, &prepared[u.app_idx], b, base, *degree, cc)
-    });
-    for ((u, degree), trials) in rep_units.iter().zip(rep_outcomes) {
-        let app = apps[u.app_idx].name.to_string();
+    for (u, records) in rep_units.iter().zip(plan.execute(&rep_units)) {
+        let app = apps[u.app].name.to_string();
+        let single = matches!(u.target, Target::Shared(b) if b == plan.build_index(u.app, 0));
         let pair = res.replica_differential.entry(app.clone()).or_default();
-        let diff_agg = if *degree == 1 {
-            &mut pair.0
-        } else {
-            &mut pair.1
-        };
-        for t in trials {
-            res.experiments += 1 + u64::from(t.ran_recovery);
-            diff_agg.add(&t.m, t.recovered, t.wrong_repair);
-            if *degree == 1 {
+        let diff_agg = if single { &mut pair.0 } else { &mut pair.1 };
+        for r in &records {
+            res.experiments += diff_agg.add_trial(r);
+            if single {
                 // The K = 1 replica-region rows also feed the main table
                 // as the REPLICA_CLASS pseudo-class.
                 res.agg
                     .entry((REPLICA_CLASS.to_string(), app.clone()))
                     .or_default()
-                    .add(&t.m, t.recovered, t.wrong_repair);
+                    .add_trial(r);
             }
         }
     }
     res
-}
-
-fn run_fault_unit(
-    u: &FaultUnit,
-    p: &PreparedApp,
-    built: &(Module, LoweredCode),
-    base: &DpmrConfig,
-    degree: usize,
-    cc: &CampaignConfig,
-) -> Vec<FaultTrial> {
-    use std::rc::Rc;
-    let (transformed, code) = built;
-    let code = Rc::new(code.clone());
-    let registry = Rc::new(registry_with_wrappers());
-    let mut rec = base.recovery;
-    // The best repair policy available at the build's replication
-    // degree: single-replica copy-back at K = 1, majority vote above.
-    rec.policy = if degree >= 2 {
-        RecoveryPolicy::VoteAndRepair {
-            max_repairs: CAMPAIGN_REPAIR_BUDGET,
-        }
-    } else {
-        RecoveryPolicy::RepairFromReplica {
-            max_repairs: CAMPAIGN_REPAIR_BUDGET,
-        }
-    };
-    (0..cc.runs)
-        .map(|run| {
-            let armed = ArmedFault {
-                site: u.site.pc,
-                fault: u.class,
-                seed: dpmr_fi::trial_seed(u.site.pc, run),
-                // Trial r arms r/runs of the way into the golden running
-                // time (trial 0 is armed from the first cycle).
-                arm_cycle: p.golden.cycles * u64::from(run) / u64::from(cc.runs.max(1)),
-            };
-            let m = p.run_armed(
-                transformed,
-                Rc::clone(&code),
-                Rc::clone(&registry),
-                armed,
-                run,
-            );
-            // The recovery leg only makes sense for DPMR detections —
-            // crashes are not resumable and escapes never trap.
-            let ran_recovery = m.sf && m.ddet;
-            let (recovered, wrong_repair) = if ran_recovery {
-                let r = p.run_armed_recovery(
-                    transformed,
-                    Rc::clone(&code),
-                    Rc::clone(&registry),
-                    armed,
-                    rec,
-                    run,
-                );
-                (r.recovered_correct, r.survived_wrong)
-            } else {
-                (false, false)
-            };
-            FaultTrial {
-                m,
-                recovered,
-                wrong_repair,
-                ran_recovery,
-            }
-        })
-        .collect()
 }
 
 /// The replication degrees the Table V.1 sweep covers.
@@ -898,17 +670,6 @@ pub fn replication_variants(base: &DpmrConfig) -> Vec<(String, DpmrConfig)> {
     v
 }
 
-/// One parallel unit of the replication-degree study.
-struct RepDegreeUnit {
-    app_idx: usize,
-    var_idx: usize,
-    /// Display name of the armed class (the replica pseudo-class arms
-    /// heap bit-flips at replica sites).
-    class_name: String,
-    fault: FaultModel,
-    site: OpSite,
-}
-
 /// Runs the replication-degree study (Table V.1): the variant grid of
 /// [`replication_variants`] over `apps`, measuring overhead scaling and —
 /// for the classes the vote story is about (heap bit-flips at arbitrary
@@ -937,85 +698,29 @@ pub fn run_replication_degree_study(
         classes: classes.iter().map(|(n, _)| n.clone()).collect(),
         ..ReplicationStudyResults::default()
     };
-    let prepared: Vec<PreparedApp> =
-        crate::sched::run_indexed(apps, cc.workers, |a| prepare(*a, &cc.params));
-    // One transformed build per (app, variant), in parallel.
-    let build_units: Vec<(usize, usize)> = (0..prepared.len())
-        .flat_map(|ai| (0..variants.len()).map(move |vi| (ai, vi)))
-        .collect();
-    let built: Vec<(Module, LoweredCode)> =
-        crate::sched::run_indexed(&build_units, cc.workers, |&(ai, vi)| {
-            let t = transform(&prepared[ai].module, &variants[vi].1).expect("transform");
-            let code = crate::experiment::lower_with_passes(&t, &variants[vi].1);
-            (t, code)
-        });
-    let built_of = |ai: usize, vi: usize| &built[ai * variants.len() + vi];
-    // Overheads (clean runs) per (app, variant).
-    let overheads = crate::sched::run_indexed(&build_units, cc.workers, |&(ai, vi)| {
-        let (t, code) = built_of(ai, vi);
-        let m = prepared[ai].run_built(
-            t,
-            std::rc::Rc::new(code.clone()),
-            std::rc::Rc::new(registry_with_wrappers()),
-            0,
-        );
-        m.cycles as f64 / prepared[ai].golden.cycles as f64
-    });
-    for (&(ai, vi), o) in build_units.iter().zip(overheads) {
-        res.overhead
-            .insert((variants[vi].0.clone(), apps[ai].name.to_string()), o);
-        res.experiments += 1;
-    }
+    let plan = Plan::new("replication", apps, cc).with_builds(|_| variants.clone());
+    res.experiments += record_overheads(&plan, &mut res.overhead);
     // Fault trials: per (app, variant, class), an even sample of the
     // class's sites in *that build* (replica surfaces differ per K).
-    let cap = cc.max_sites.unwrap_or(FAULT_SITES_PER_CLASS);
+    let cap = plan.op_cap();
     let mut units = Vec::new();
-    for ai in 0..prepared.len() {
-        for vi in 0..variants.len() {
-            let (_, code) = built_of(ai, vi);
-            for (cname, model) in &classes {
-                let sites = match model {
-                    Some(m) => dpmr_fi::enumerate_op_sites(code, *m),
-                    None => dpmr_fi::enumerate_replica_sites(code),
-                };
-                units.extend(dpmr_fi::sample_sites(&sites, cap).into_iter().map(|site| {
-                    RepDegreeUnit {
-                        app_idx: ai,
-                        var_idx: vi,
-                        class_name: cname.clone(),
-                        fault: model.unwrap_or(heap_flip),
-                        site,
-                    }
-                }));
-            }
+    for b in 0..plan.builds.len() {
+        for (cname, model) in &classes {
+            units.extend(plan.armed(b, cname, *model, cap, Legs::DetectRecover));
         }
     }
-    let outcomes = crate::sched::run_indexed(&units, cc.workers, |u| {
-        let fu = FaultUnit {
-            app_idx: u.app_idx,
-            class: u.fault,
-            site: u.site,
+    for (u, records) in units.iter().zip(plan.execute(&units)) {
+        let Target::Shared(b) = u.target else {
+            unreachable!("armed units run shared builds")
         };
-        let degree = variants[u.var_idx].1.replicas;
-        run_fault_unit(
-            &fu,
-            &prepared[u.app_idx],
-            built_of(u.app_idx, u.var_idx),
-            base,
-            degree,
-            cc,
-        )
-    });
-    for (u, trials) in units.iter().zip(outcomes) {
         let key = (
-            variants[u.var_idx].0.clone(),
-            apps[u.app_idx].name.to_string(),
-            u.class_name.clone(),
+            plan.builds[b].name.clone(),
+            apps[u.app].name.to_string(),
+            u.class.clone(),
         );
         let agg = res.agg.entry(key).or_default();
-        for t in trials {
-            res.experiments += 1 + u64::from(t.ran_recovery);
-            agg.add(&t.m, t.recovered, t.wrong_repair);
+        for r in &records {
+            res.experiments += agg.add_trial(r);
         }
     }
     res
@@ -1076,13 +781,6 @@ pub struct SiteProfileResults {
     pub experiments: u64,
 }
 
-/// One parallel unit of the site-profile study: the clean instrumented
-/// run (`armed: None`) or every trial of one fault class at one site.
-struct ProfileUnit {
-    app_idx: usize,
-    armed: Option<(FaultModel, OpSite)>,
-}
-
 /// Runs the site-profile study: each app's DPMR-transformed build is
 /// executed once cleanly with full telemetry (per-site execution counts,
 /// per-function pc profile, region footprint), then re-executed under
@@ -1097,66 +795,24 @@ pub fn run_site_profile_study(
     base: &DpmrConfig,
     cc: &CampaignConfig,
 ) -> SiteProfileResults {
-    use std::rc::Rc;
     let mut res = SiteProfileResults {
         apps: apps.iter().map(|a| a.name.to_string()).collect(),
         ..SiteProfileResults::default()
     };
-    let prepared: Vec<PreparedApp> =
-        crate::sched::run_indexed(apps, cc.workers, |a| prepare(*a, &cc.params));
-    let built: Vec<(Module, LoweredCode)> = crate::sched::run_indexed(&prepared, cc.workers, |p| {
-        let t = transform(&p.module, base).expect("transform");
-        let code = crate::experiment::lower_with_passes(&t, base);
-        (t, code)
-    });
-    let cap = cc.max_sites.unwrap_or(FAULT_SITES_PER_CLASS);
+    let plan =
+        Plan::new("site_profile", apps, cc).with_builds(|_| vec![(base.name(), base.clone())]);
+    let cap = plan.op_cap();
     let mut units = Vec::new();
-    for (app_idx, (_, code)) in built.iter().enumerate() {
-        units.push(ProfileUnit {
-            app_idx,
-            armed: None,
-        });
+    for b in 0..plan.builds.len() {
+        units.push(plan.clean(b, Legs::Instrumented));
         for class in FaultModel::paper_set() {
-            let sites = dpmr_fi::enumerate_op_sites(code, class);
-            units.extend(
-                dpmr_fi::sample_sites(&sites, cap)
-                    .into_iter()
-                    .map(|site| ProfileUnit {
-                        app_idx,
-                        armed: Some((class, site)),
-                    }),
-            );
+            units.extend(plan.armed(b, &class.name(), Some(class), cap, Legs::Instrumented));
         }
     }
-    let outcomes = crate::sched::run_indexed(&units, cc.workers, |u| {
-        let p = &prepared[u.app_idx];
-        let (transformed, code) = &built[u.app_idx];
-        let code = Rc::new(code.clone());
-        let registry = Rc::new(registry_with_wrappers());
-        match u.armed {
-            None => vec![p.run_instrumented(transformed, code, registry, None, 0)],
-            Some((class, site)) => (0..cc.runs)
-                .map(|run| {
-                    let armed = ArmedFault {
-                        site: site.pc,
-                        fault: class,
-                        seed: dpmr_fi::trial_seed(site.pc, run),
-                        arm_cycle: p.golden.cycles * u64::from(run) / u64::from(cc.runs.max(1)),
-                    };
-                    p.run_instrumented(
-                        transformed,
-                        Rc::clone(&code),
-                        Rc::clone(&registry),
-                        Some(armed),
-                        run,
-                    )
-                })
-                .collect(),
-        }
-    });
-    for (u, runs) in units.iter().zip(outcomes) {
-        let app = apps[u.app_idx].name.to_string();
-        let (transformed, code) = &built[u.app_idx];
+    for (u, records) in units.iter().zip(plan.execute(&units)) {
+        let app = apps[u.app].name.to_string();
+        let build = &plan.builds[plan.build_index(u.app, 0)];
+        let (transformed, code) = (&build.module, &build.lowered.code);
         let prof = res.profiles.entry(app).or_insert_with(|| {
             let site_pcs = code.check_site_pcs();
             let site_funcs = site_pcs
@@ -1170,7 +826,7 @@ pub fn run_site_profile_study(
                 ..AppSiteProfile::default()
             }
         });
-        for r in runs {
+        for r in records.iter().filter_map(|r| r.instrumented.as_ref()) {
             res.experiments += 1;
             match u.armed {
                 None => {
@@ -1264,56 +920,30 @@ pub fn run_trace_study(
     base: &DpmrConfig,
     cc: &CampaignConfig,
 ) -> TraceStudyResults {
-    use std::rc::Rc;
-    let prepared: Vec<PreparedApp> =
-        crate::sched::run_indexed(apps, cc.workers, |a| prepare(*a, &cc.params));
-    let built: Vec<(Module, LoweredCode)> = crate::sched::run_indexed(&prepared, cc.workers, |p| {
-        let t = transform(&p.module, base).expect("transform");
-        let code = crate::experiment::lower_with_passes(&t, base);
-        (t, code)
-    });
-    let mut units: Vec<(usize, Option<FaultModel>)> = Vec::new();
-    for app_idx in 0..prepared.len() {
-        units.push((app_idx, None));
+    let plan = Plan::new("trace", apps, cc).with_builds(|_| vec![(base.name(), base.clone())]);
+    let mut units = Vec::new();
+    for b in 0..plan.builds.len() {
+        units.push(plan.clean(b, Legs::Instrumented));
         for class in FaultModel::paper_set() {
-            units.push((app_idx, Some(class)));
+            // The first sampled site at run 0: one representative
+            // timeline per class. A class with no eligible site in the
+            // app gets no unit.
+            let first = plan.armed(b, &class.name(), Some(class), 1, Legs::Instrumented);
+            units.extend(first.into_iter().map(|u| Unit { runs: 0..1, ..u }));
         }
     }
-    let outcomes = crate::sched::run_indexed(&units, cc.workers, |&(app_idx, class)| {
-        let p = &prepared[app_idx];
-        let (transformed, code) = &built[app_idx];
-        let code = Rc::new(code.clone());
-        let registry = Rc::new(registry_with_wrappers());
-        let armed = class.and_then(|c| {
-            let sites = dpmr_fi::enumerate_op_sites(&code, c);
-            dpmr_fi::sample_sites(&sites, 1)
-                .first()
-                .map(|s| ArmedFault {
-                    site: s.pc,
-                    fault: c,
-                    seed: dpmr_fi::trial_seed(s.pc, 0),
-                    arm_cycle: 0,
-                })
-        });
-        if class.is_some() && armed.is_none() {
-            // No eligible site for this class in this app: record an
-            // empty trace so the unit list (and artifact) stays stable.
-            return None;
-        }
-        Some(p.run_instrumented(transformed, code, registry, armed, 0))
-    });
     let mut res = TraceStudyResults::default();
-    for (&(app_idx, class), run) in units.iter().zip(&outcomes) {
-        let Some(run) = run else { continue };
-        let app = apps[app_idx].name;
-        let config = class.map_or_else(|| "clean".to_string(), FaultModel::name);
-        res.experiments += 1;
-        res.traces.push(KeyedTrace {
-            app: app.to_string(),
-            seed: run.seed,
-            config: config.clone(),
-            jsonl: keyed_jsonl(app, run.seed, &config, &run.telemetry),
-        });
+    for (u, records) in units.iter().zip(plan.execute(&units)) {
+        for run in records.iter().filter_map(|r| r.instrumented.as_ref()) {
+            let app = apps[u.app].name;
+            res.experiments += 1;
+            res.traces.push(KeyedTrace {
+                app: app.to_string(),
+                seed: run.seed,
+                config: u.class.clone(),
+                jsonl: keyed_jsonl(app, run.seed, &u.class, &run.telemetry),
+            });
+        }
     }
     res
 }
@@ -1389,46 +1019,18 @@ pub fn run_opt_study(
     usefulness: &BTreeMap<String, Vec<f64>>,
     cc: &CampaignConfig,
 ) -> OptStudyResults {
-    use std::rc::Rc;
     const COMBOS: usize = 2;
-    let prepared: Vec<PreparedApp> =
-        crate::sched::run_indexed(apps, cc.workers, |a| prepare(*a, &cc.params));
-    // Lower without the optimizer: each configuration applies its own.
-    let built: Vec<(Module, LoweredCode)> = crate::sched::run_indexed(&prepared, cc.workers, |p| {
-        let t = transform(&p.module, base).expect("transform");
-        let code = dpmr_vm::lower::lower(&t);
-        (t, code)
+    let plan = Plan::new("opt", apps, cc).with_builds(|p| {
+        (0..COMBOS)
+            .map(|ci| {
+                let passes = opt_combo(ci, p.app.name, usefulness);
+                (passes.tag().to_string(), base.clone().with_passes(passes))
+            })
+            .collect()
     });
-    let units: Vec<(usize, usize)> = (0..prepared.len())
-        .flat_map(|ai| (0..COMBOS).map(move |ci| (ai, ci)))
+    let units: Vec<Unit> = (0..plan.builds.len())
+        .map(|b| plan.clean(b, Legs::Instrumented))
         .collect();
-    let outcomes: Vec<(OptComboRow, Option<String>)> =
-        crate::sched::run_indexed(&units, cc.workers, |&(ai, ci)| {
-            let p = &prepared[ai];
-            let (transformed, code) = &built[ai];
-            let cfg = opt_combo(ci, apps[ai].name, usefulness);
-            let mut opt = dpmr_vm::opt::optimize(code, &cfg);
-            let report = (!opt.dropped.is_empty()).then(|| opt.dropped_report_jsonl());
-            let live_checks = opt.live_checks() as u64;
-            let optimized = std::mem::take(&mut opt.code);
-            let run = p.run_instrumented(
-                transformed,
-                Rc::new(optimized),
-                Rc::new(registry_with_wrappers()),
-                None,
-                0,
-            );
-            let row = OptComboRow {
-                live_checks,
-                dropped: opt.dropped.len() as u64,
-                check_execs: run.telemetry.site_stats.iter().map(|s| s.executions).sum(),
-                cycles: run.out.cycles,
-                instrs: run.out.instrs,
-                output_ok: matches!(run.out.status, dpmr_vm::interp::ExitStatus::Normal(0))
-                    && run.out.output == p.golden.output,
-            };
-            (row, report)
-        });
     let mut res = OptStudyResults {
         apps: apps.iter().map(|a| a.name.to_string()).collect(),
         combos: (0..COMBOS)
@@ -1436,13 +1038,29 @@ pub fn run_opt_study(
             .collect(),
         ..OptStudyResults::default()
     };
-    for (&(ai, ci), (row, report)) in units.iter().zip(outcomes) {
-        let app = apps[ai].name.to_string();
-        res.experiments += 1;
-        if let Some(report) = report {
-            res.dropped_reports.insert(app.clone(), report);
+    for (u, records) in units.iter().zip(plan.execute(&units)) {
+        let app = apps[u.app].name.to_string();
+        let p = &plan.prepared[u.app];
+        for r in &records {
+            let build = &plan.builds[r.build];
+            let run = r.instrumented.as_ref().expect("an instrumented run");
+            let opt = &build.lowered;
+            res.experiments += 1;
+            if !opt.dropped.is_empty() {
+                res.dropped_reports
+                    .insert(app.clone(), opt.dropped_report_jsonl());
+            }
+            let row = OptComboRow {
+                live_checks: opt.live_checks(),
+                dropped: opt.dropped.len() as u64,
+                check_execs: run.telemetry.site_stats.iter().map(|s| s.executions).sum(),
+                cycles: run.out.cycles,
+                instrs: run.out.instrs,
+                output_ok: matches!(run.out.status, dpmr_vm::interp::ExitStatus::Normal(0))
+                    && run.out.output == p.golden.output,
+            };
+            res.rows.insert((app.clone(), build.name.clone()), row);
         }
-        res.rows.insert((app, res.combos[ci].clone()), row);
     }
     res
 }

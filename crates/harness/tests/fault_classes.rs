@@ -25,7 +25,11 @@ fn victim() -> (dpmr_ir::module::Module, Rc<LoweredCode>, RunOutcome) {
     (t, code, clean)
 }
 
-fn run_armed(t: &dpmr_ir::module::Module, code: &Rc<LoweredCode>, armed: ArmedFault) -> RunOutcome {
+fn run_with_fault(
+    t: &dpmr_ir::module::Module,
+    code: &Rc<LoweredCode>,
+    armed: ArmedFault,
+) -> RunOutcome {
     let rc = RunConfig {
         fault: Some(armed),
         ..RunConfig::default()
@@ -52,7 +56,7 @@ fn assert_class_fires_deterministically(class: FaultModel) {
                 seed: trial_seed(site.pc, run),
                 arm_cycle: clean.cycles * u64::from(run) / 2,
             };
-            let a = run_armed(&t, &code, armed);
+            let a = run_with_fault(&t, &code, armed);
             if a.fault_fired_cycle.is_none() {
                 continue;
             }
@@ -77,7 +81,7 @@ fn assert_class_fires_deterministically(class: FaultModel) {
             );
             // Replayable: the same armed triple reproduces the run
             // bit-for-bit.
-            let b = run_armed(&t, &code, armed);
+            let b = run_with_fault(&t, &code, armed);
             assert_eq!(a.status, b.status, "{}", class.name());
             assert_eq!(a.output, b.output, "{}", class.name());
             assert_eq!(a.cycles, b.cycles, "{}", class.name());
@@ -149,7 +153,7 @@ fn dpmr_detects_faults_of_every_recurring_class() {
                 seed: trial_seed(site.pc, 0),
                 arm_cycle: 0,
             };
-            let out = run_armed(&t, &code, armed);
+            let out = run_with_fault(&t, &code, armed);
             out.fault_fired_cycle.is_some()
                 && (out.status.is_dpmr_detection() || out.status.is_natural_detection())
         });

@@ -201,26 +201,32 @@ fn fault_campaign_reports_the_replica_differential() {
 /// `RunOutcome` — here a natural detection (memory fault).
 #[test]
 fn tab_v1_mcf_wrapping_address_trial_ends_in_a_run_outcome() {
-    use dpmr_harness::experiment::{lower_with_passes, prepare};
-    let p = prepare(
-        dpmr_workloads::app_by_name("mcf").expect("mcf"),
-        &dpmr_workloads::WorkloadParams::quick(),
-    );
+    use dpmr_harness::trial::{Legs, Plan, Target, Unit};
     let cfg = DpmrConfig::sds()
         .with_replicas(1)
         .with_diversity(Diversity::None);
-    let t = transform(&p.module, &cfg).expect("transform");
-    let code = Rc::new(lower_with_passes(&t, &cfg));
-    let (site, run, runs): (u32, u32, u32) = (98, 1, 2);
-    let armed = ArmedFault {
-        site,
-        fault: FaultModel::BitFlip {
-            region: MemRegion::Heap,
-        },
-        seed: dpmr_fi::trial_seed(site, run),
-        arm_cycle: p.golden.cycles * u64::from(run) / u64::from(runs),
+    let cc = CampaignConfig { runs: 2, ..tiny() };
+    let apps = [dpmr_workloads::app_by_name("mcf").expect("mcf")];
+    let plan = Plan::new("replication", &apps, &cc)
+        .with_builds(|_| vec![("K=1/no-diversity".to_string(), cfg.clone())]);
+    let model = FaultModel::BitFlip {
+        region: MemRegion::Heap,
     };
-    let m = p.run_armed(&t, code, Rc::new(registry_with_wrappers()), armed, run);
+    let site = dpmr_fi::enumerate_op_sites(&plan.builds[0].lowered.code, model)
+        .into_iter()
+        .find(|s| s.pc == 98)
+        .expect("pc 98 takes heap bit-flips");
+    // Run 1 of 2: armed halfway into the golden running time.
+    let unit = Unit {
+        app: 0,
+        target: Target::Shared(0),
+        class: model.name(),
+        armed: Some((model, site)),
+        runs: 1..2,
+        legs: Legs::Detect,
+    };
+    let records = plan.execute(&[unit]).remove(0);
+    let m = records[0].detect.as_ref().expect("a detection leg");
     assert!(m.sf, "the armed flip fired");
     assert!(m.ndet, "a wild address is a natural detection: {m:?}");
 }

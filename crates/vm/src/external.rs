@@ -152,7 +152,7 @@ pub fn register_base(r: &mut Registry) {
         let c = arg_int(args, 1)? as u8;
         let n = u64::try_from(arg_int(args, 2)?.max(0)).unwrap_or(0);
         it.charge(n / 8 + 2);
-        it.mem.write(dest, &vec![c; n as usize])?;
+        it.mem.fill(dest, n as usize, c)?;
         Ok(Some(Value::Ptr(dest)))
     });
 

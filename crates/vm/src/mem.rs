@@ -339,6 +339,26 @@ impl Mem {
         Ok(())
     }
 
+    /// Sets `len` bytes at `addr` to `byte`, in place: the range is
+    /// checked before anything is touched, so a guest-sized `len` costs
+    /// the host nothing when it does not fit.
+    ///
+    /// # Errors
+    /// Traps if the range is not fully mapped.
+    pub fn fill(&mut self, addr: u64, len: usize, byte: u8) -> Result<(), MemFault> {
+        let (r, off) = self.locate(addr, len)?;
+        let buf = match r {
+            Region::Global => &mut self.globals,
+            Region::Heap => &mut self.heap,
+            Region::Stack => {
+                self.stack_hw = self.stack_hw.max(off + len);
+                &mut self.stack
+            }
+        };
+        buf[off..off + len].fill(byte);
+        Ok(())
+    }
+
     /// Reads a little-endian `u64`.
     ///
     /// # Errors

@@ -806,6 +806,35 @@ fn alloca_count_overflowing_u64_bytes_overflows_the_stack() {
 }
 
 #[test]
+fn memset_past_the_block_faults_without_allocating_the_length() {
+    // A guest length of 2^62 on a 16-byte block: the destination range is
+    // checked before any byte is set, so the run ends in a memory fault
+    // rather than a host allocation of the guest's length.
+    let m = module_with_main(|b| {
+        let i8t = b.module.types.int(8);
+        let i64t = b.module.types.int(64);
+        let vp = b.module.types.void_ptr();
+        let ty = b.module.types.function(vp, vec![vp, i64t, i64t]);
+        let memset = b.module.declare_external("memset", ty);
+        let buf = b.malloc(i8t, Const::i64(16).into(), "buf");
+        let bv = b.cast(CastOp::Bitcast, vp, buf.into(), "bv");
+        b.call(
+            Callee::External(memset),
+            vec![bv.into(), Const::i64(0).into(), Const::i64(1 << 62).into()],
+            Some(vp),
+            "",
+        );
+        b.ret(Some(Const::i64(0).into()));
+    });
+    let out = run(&m);
+    assert!(
+        matches!(out.status, ExitStatus::Crash(CrashKind::MemFault(_))),
+        "{:?}",
+        out.status
+    );
+}
+
+#[test]
 fn pc_past_the_op_stream_is_invalid_execution() {
     let m = module_with_main(|b| {
         b.output(Const::i64(7).into());
